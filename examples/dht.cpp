@@ -36,6 +36,26 @@ constexpr double kCrashAt = 1e15;
 
 constexpr std::uint64_t kRoleReplica = 1;  // arg.role: primary otherwise
 
+/// A rank's virtual time over the served window: its clock minus the idle
+/// gap the crash opens. The victim jumps its clock by 2 * kCrashAt to die,
+/// and a survivor is carried past that gap when it observes the death (its
+/// clock moves to the detection bound) or hears from a rank that did. No
+/// served step comes near kCrashAt, so a step between two checkpoints that
+/// long spans the gap and is left out.
+class ServedWindow {
+ public:
+  void checkpoint() {
+    const double now = mpisim::clock().now_ns();
+    if (now - last_ >= kCrashAt) gap_ += now - last_;
+    last_ = now;
+  }
+  double ns() const { return last_ - gap_; }
+
+ private:
+  double last_ = mpisim::clock().now_ns();
+  double gap_ = 0.0;
+};
+
 /// One put/get/fma leg's argument (POD, fits kMaxArgBytes).
 struct LegArg {
   std::uint64_t slot = 0;
@@ -225,6 +245,7 @@ int main(int argc, char** argv) {
     const std::uint64_t fk0 = static_cast<std::uint64_t>(me) *
                               fma_keys_per_client;
 
+    ServedWindow window;
     std::uint64_t rng = 0x9e3779b97f4a7c15ull ^ (std::uint64_t)me;
     const auto next = [&rng] {
       rng ^= rng << 13;
@@ -284,10 +305,12 @@ int main(int argc, char** argv) {
         ++fma_attempted[ki];
         if (write2(key, h_fma, arg, &old)) ++fma_acked[ki];
       }
+      window.checkpoint();
     }
     // Serving barrier: a plain collective would stop serving this rank's
     // shard while stragglers still stream requests at it.
     am::barrier();
+    window.checkpoint();
 
     // ---- Phase 3: verification reads from the live authority ----------
     for (std::uint64_t ki = 0; ki < put_keys_per_client; ++ki) {
@@ -313,6 +336,7 @@ int main(int argc, char** argv) {
         check(got.val == put_attempt_val[ki], "unacked put corrupted", key);
       else
         check(false, "version from nowhere", key);
+      window.checkpoint();
     }
     for (std::uint64_t ki = 0; ki < fma_keys_per_client; ++ki) {
       const std::uint64_t key = fk0 + ki;
@@ -328,9 +352,11 @@ int main(int argc, char** argv) {
       // No lost acked adds, no duplicated adds.
       check(final_count >= fma_acked[ki], "acked fma adds lost", key);
       check(final_count <= fma_attempted[ki], "fma adds duplicated", key);
+      window.checkpoint();
     }
 
     am::barrier();  // keep serving until every rank finished verifying
+    window.checkpoint();
 
     const std::uint64_t sent = armci::stats().am_sent;
     const std::uint64_t served = armci::stats().am_served;
@@ -338,15 +364,17 @@ int main(int argc, char** argv) {
     const std::uint64_t mine[2] = {sent, served};
     mpisim::world().allreduce(mine, tot, 2, mpisim::BasicType::uint64,
                               mpisim::Op::sum);
+    window.checkpoint();
     if (me == 0) {
       served_total = tot[1];
       std::printf(
           "dht: %d ranks, %ld client ops/rank, crash=%d -> %llu delegates "
-          "sent, %llu served, %llu terminations, virtual time %.1f ms\n",
+          "sent, %llu served, %llu terminations, virtual time %.1f ms "
+          "(served window)\n",
           nranks, ops_per_client, crash ? 1 : 0,
           (unsigned long long)tot[0], (unsigned long long)tot[1],
           (unsigned long long)armci::stats().am_terminations,
-          mpisim::clock().now_ns() / 1e6);
+          window.ns() / 1e6);
     }
     am::finalize();
     armci::finalize();

@@ -259,107 +259,120 @@ void RmaChecker::record_op(std::uint64_t win, int target, int origin,
                            int world_origin, OpKind kind, Op op,
                            std::ptrdiff_t lo, std::ptrdiff_t hi,
                            const char* scope) {
-  if (!enabled() || lo >= hi) return;
+  if (lo >= hi) return;
+  const Segment seg{lo, static_cast<std::size_t>(hi - lo)};
+  record_op(win, target, origin, world_origin, kind, op, 0, {&seg, 1}, scope);
+}
+
+void RmaChecker::record_op(std::uint64_t win, int target, int origin,
+                           int world_origin, OpKind kind, Op op,
+                           std::ptrdiff_t disp, std::span<const Segment> segs,
+                           const char* scope) {
+  if (!enabled()) return;
   auto wit = wins_.find(win);
   if (wit == wins_.end()) return;
   TargetRec& tr = wit->second.targets[target];
   auto eit = tr.open.find(origin);
   if (eit == tr.open.end()) return;  // win.cpp raises no_epoch before this
   EpochRec& ep = eit->second;
-  ep.scope = scope;
 
   const char* kind_str = kind == OpKind::put   ? "put"
                          : kind == OpKind::get ? "get"
                          : kind == OpKind::acc ? "accumulate"
                                                : "get_accumulate";
-  const auto ulo = static_cast<std::uintptr_t>(lo);
-  const auto uhi = static_cast<std::uintptr_t>(hi) - 1;
-  const std::string what = std::string(kind_str) + " on " +
-                           byte_range(lo, hi) + " of rank " +
-                           std::to_string(target) + " (win " +
-                           std::to_string(win) + ", epoch #" +
-                           std::to_string(ep.id) + " by origin " +
-                           std::to_string(origin) + scope_suffix(scope) + ")";
-
-  Hit hit;
-  // Epoch-vs-epoch rules apply to MPI-2 lock epochs only: under an MPI-3
-  // lock_all epoch conflicting operations have undefined values but are not
-  // erroneous. The op is still recorded below so a concurrent direct
-  // shared-memory access (shm_begin) can be checked against it.
-  if (!ep.mpi3) {
-    if (conflict_with(ep.sets, kind, op, ulo, uhi, &hit))
-      flag(ep.pending, classify(kind, hit, /*same_origin=*/true, false),
-           world_origin,
-           what + " conflicts with " + describe_hit(hit) +
-               " recorded earlier in the same epoch");
-
-    for (auto& [orank, oe] : tr.open) {
-      if (orank == origin || oe.mpi3) continue;
-      if (conflict_with(oe.sets, kind, op, ulo, uhi, &hit))
-        flag(ep.pending, classify(kind, hit, false, false), world_origin,
-             what + " conflicts with " + describe_hit(hit) +
-                 " by concurrent epoch #" + std::to_string(oe.id) +
-                 " of origin " + std::to_string(orank) +
-                 scope_suffix(oe.scope));
-    }
-
-    for (const auto& g : ep.ghosts) {
-      if (conflict_with(g->sets, kind, op, ulo, uhi, &hit))
-        flag(ep.pending, classify(kind, hit, false, false), world_origin,
-             what + " conflicts with " + describe_hit(hit) +
-                 " by closed concurrent epoch #" +
-                 std::to_string(g->epoch_id) + " of origin " +
-                 std::to_string(g->origin) + scope_suffix(g->scope));
-    }
-  }
-
   // Direct accesses to the target's exposed memory. A get conflicts only
   // with a direct store; put/accumulate write the bytes, so a direct load
-  // conflicts too (get_accumulate with no_op is a pure fetch). An MPI-3
-  // epoch only checks shared-memory records: plain local access under the
-  // unified memory model is legal after a flush (the backend's discipline),
-  // while a same-node direct access has no such ordering against in-flight
-  // RMA from third ranks.
+  // conflicts too (get_accumulate with no_op is a pure fetch).
   const bool writes_target =
       kind == OpKind::put || kind == OpKind::acc ||
       (kind == OpKind::get_acc && op != Op::no_op);
   const bool acc_class = kind == OpKind::acc || kind == OpKind::get_acc;
-  for (auto& [lkey, lrec] : tr.locals) {
-    if (lrec.covered) continue;
-    if (ep.mpi3 && !lrec.shm) continue;
-    if (lrec.shm && lrec.accessor == origin) continue;  // origin's own access
-    if (lrec.hi <= lo || hi <= lrec.lo) continue;
-    if (!lrec.write && !writes_target) continue;
-    // The shm accumulate path is element-atomic with RMA accumulates (both
-    // apply under the runtime's accumulate atomicity), so only the MPI
-    // acc-mixing rules make it a conflict: a different operator, or a
-    // non-accumulate access (no_op mixes with any operator).
-    if (lrec.acc && acc_class && (op == lrec.op || op == Op::no_op)) continue;
-    flag(ep.pending, RmaViolation::local, world_origin,
-         what + " conflicts with a direct " +
-             (lrec.shm ? std::string("shared-memory ") +
-                             (lrec.acc    ? "accumulate to "
-                              : lrec.write ? "store to "
-                                           : "load of ") +
-                             byte_range(lrec.lo, lrec.hi) + " by rank " +
-                             std::to_string(lrec.accessor)
-                       : std::string("local ") +
-                             (lrec.write ? "store to " : "load of ") +
-                             byte_range(lrec.lo, lrec.hi)) +
-             " on rank " + std::to_string(target) + scope_suffix(lrec.scope));
-  }
+  ConflictTree& into = kind == OpKind::get   ? ep.sets.reads
+                       : kind == OpKind::put ? ep.sets.writes
+                                             : ep.sets.accs[op];
 
-  switch (kind) {
-    case OpKind::get:
-      ep.sets.reads.insert_merge(ulo, uhi);
-      break;
-    case OpKind::put:
-      ep.sets.writes.insert_merge(ulo, uhi);
-      break;
-    case OpKind::acc:
-    case OpKind::get_acc:
-      ep.sets.accs[op].insert_merge(ulo, uhi);
-      break;
+  // Record-and-check one segment at a time, so an op whose segments overlap
+  // each other conflicts with itself. Diagnostic text is only rendered on a
+  // hit: a clean segment costs its tree queries and one insert.
+  for (const Segment& seg : segs) {
+    const std::ptrdiff_t lo = disp + seg.offset;
+    const std::ptrdiff_t hi = lo + static_cast<std::ptrdiff_t>(seg.length);
+    if (lo >= hi) continue;
+    ep.scope = scope;
+    const auto ulo = static_cast<std::uintptr_t>(lo);
+    const auto uhi = static_cast<std::uintptr_t>(hi) - 1;
+    const auto what = [&] {
+      return std::string(kind_str) + " on " + byte_range(lo, hi) +
+             " of rank " + std::to_string(target) + " (win " +
+             std::to_string(win) + ", epoch #" + std::to_string(ep.id) +
+             " by origin " + std::to_string(origin) + scope_suffix(scope) +
+             ")";
+    };
+
+    Hit hit;
+    // Epoch-vs-epoch rules apply to MPI-2 lock epochs only: under an MPI-3
+    // lock_all epoch conflicting operations have undefined values but are
+    // not erroneous. The op is still recorded below so a concurrent direct
+    // shared-memory access (shm_begin) can be checked against it.
+    if (!ep.mpi3) {
+      if (conflict_with(ep.sets, kind, op, ulo, uhi, &hit))
+        flag(ep.pending, classify(kind, hit, /*same_origin=*/true, false),
+             world_origin,
+             what() + " conflicts with " + describe_hit(hit) +
+                 " recorded earlier in the same epoch");
+
+      for (auto& [orank, oe] : tr.open) {
+        if (orank == origin || oe.mpi3) continue;
+        if (conflict_with(oe.sets, kind, op, ulo, uhi, &hit))
+          flag(ep.pending, classify(kind, hit, false, false), world_origin,
+               what() + " conflicts with " + describe_hit(hit) +
+                   " by concurrent epoch #" + std::to_string(oe.id) +
+                   " of origin " + std::to_string(orank) +
+                   scope_suffix(oe.scope));
+      }
+
+      for (const auto& g : ep.ghosts) {
+        if (conflict_with(g->sets, kind, op, ulo, uhi, &hit))
+          flag(ep.pending, classify(kind, hit, false, false), world_origin,
+               what() + " conflicts with " + describe_hit(hit) +
+                   " by closed concurrent epoch #" +
+                   std::to_string(g->epoch_id) + " of origin " +
+                   std::to_string(g->origin) + scope_suffix(g->scope));
+      }
+    }
+
+    // An MPI-3 epoch only checks shared-memory records: plain local access
+    // under the unified memory model is legal after a flush (the backend's
+    // discipline), while a same-node direct access has no such ordering
+    // against in-flight RMA from third ranks.
+    for (auto& [lkey, lrec] : tr.locals) {
+      if (lrec.covered) continue;
+      if (ep.mpi3 && !lrec.shm) continue;
+      if (lrec.shm && lrec.accessor == origin) continue;  // origin's own
+      if (lrec.hi <= lo || hi <= lrec.lo) continue;
+      if (!lrec.write && !writes_target) continue;
+      // The shm accumulate path is element-atomic with RMA accumulates
+      // (both apply under the runtime's accumulate atomicity), so only the
+      // MPI acc-mixing rules make it a conflict: a different operator, or a
+      // non-accumulate access (no_op mixes with any operator).
+      if (lrec.acc && acc_class && (op == lrec.op || op == Op::no_op))
+        continue;
+      flag(ep.pending, RmaViolation::local, world_origin,
+           what() + " conflicts with a direct " +
+               (lrec.shm ? std::string("shared-memory ") +
+                               (lrec.acc    ? "accumulate to "
+                                : lrec.write ? "store to "
+                                             : "load of ") +
+                               byte_range(lrec.lo, lrec.hi) + " by rank " +
+                               std::to_string(lrec.accessor)
+                         : std::string("local ") +
+                               (lrec.write ? "store to " : "load of ") +
+                               byte_range(lrec.lo, lrec.hi)) +
+               " on rank " + std::to_string(target) +
+               scope_suffix(lrec.scope));
+    }
+
+    into.insert_merge(ulo, uhi);
   }
 }
 
@@ -384,23 +397,25 @@ void RmaChecker::local_begin(std::uint64_t win, int rank, int world_rank,
     const auto ulo = static_cast<std::uintptr_t>(lo);
     const auto uhi = static_cast<std::uintptr_t>(hi) - 1;
     const OpKind as_kind = write ? OpKind::put : OpKind::get;
-    const std::string what =
-        std::string("direct local ") + (write ? "store to " : "load of ") +
-        byte_range(lo, hi) + " on rank " + std::to_string(rank) + " (win " +
-        std::to_string(win) + ", no exclusive self-epoch" +
-        scope_suffix(scope) + ")";
+    const auto what = [&] {
+      return std::string("direct local ") +
+             (write ? "store to " : "load of ") + byte_range(lo, hi) +
+             " on rank " + std::to_string(rank) + " (win " +
+             std::to_string(win) + ", no exclusive self-epoch" +
+             scope_suffix(scope) + ")";
+    };
     Hit hit;
     for (auto& [orank, oe] : tr.open) {
       if (oe.mpi3) continue;
       if (conflict_with(oe.sets, as_kind, Op::replace, ulo, uhi, &hit))
         flag(lrec.pending, RmaViolation::local, world_rank,
-             what + " conflicts with " + describe_hit(hit) +
+             what() + " conflicts with " + describe_hit(hit) +
                  " by open epoch #" + std::to_string(oe.id) + " of origin " +
                  std::to_string(orank) + scope_suffix(oe.scope));
       for (const auto& g : oe.ghosts) {
         if (conflict_with(g->sets, as_kind, Op::replace, ulo, uhi, &hit))
           flag(lrec.pending, RmaViolation::local, world_rank,
-               what + " conflicts with " + describe_hit(hit) +
+               what() + " conflicts with " + describe_hit(hit) +
                    " by closed concurrent epoch #" +
                    std::to_string(g->epoch_id) + " of origin " +
                    std::to_string(g->origin) + scope_suffix(g->scope));
@@ -449,24 +464,25 @@ void RmaChecker::shm_begin(std::uint64_t win, int target, int origin,
   // same-operator RMA accumulates.
   const auto ulo = static_cast<std::uintptr_t>(lo);
   const auto uhi = static_cast<std::uintptr_t>(hi) - 1;
-  const std::string what =
-      std::string("direct shared-memory ") +
-      (lrec.acc ? "accumulate to " : write ? "store to " : "load of ") +
-      byte_range(lo, hi) + " on rank " +
-      std::to_string(target) + " (win " + std::to_string(win) + ", by rank " +
-      std::to_string(origin) + ", no epoch" + scope_suffix(scope) + ")";
+  const auto what = [&] {
+    return std::string("direct shared-memory ") +
+           (lrec.acc ? "accumulate to " : write ? "store to " : "load of ") +
+           byte_range(lo, hi) + " on rank " + std::to_string(target) +
+           " (win " + std::to_string(win) + ", by rank " +
+           std::to_string(origin) + ", no epoch" + scope_suffix(scope) + ")";
+  };
   Hit hit;
   for (auto& [orank, oe] : tr.open) {
     if (oe.mpi3 && orank == origin) continue;  // own standing lock_all epoch
     if (conflict_with(oe.sets, kind, op, ulo, uhi, &hit))
       flag(lrec.pending, RmaViolation::local, world_origin,
-           what + " conflicts with " + describe_hit(hit) +
+           what() + " conflicts with " + describe_hit(hit) +
                " by open epoch #" + std::to_string(oe.id) + " of origin " +
                std::to_string(orank) + scope_suffix(oe.scope));
     for (const auto& g : oe.ghosts) {
       if (conflict_with(g->sets, kind, op, ulo, uhi, &hit))
         flag(lrec.pending, RmaViolation::local, world_origin,
-             what + " conflicts with " + describe_hit(hit) +
+             what() + " conflicts with " + describe_hit(hit) +
                  " by closed concurrent epoch #" +
                  std::to_string(g->epoch_id) + " of origin " +
                  std::to_string(g->origin) + scope_suffix(g->scope));

@@ -30,7 +30,9 @@
 ///    classified Errc).
 ///
 /// Interval bookkeeping reuses the AVL conflict tree of paper §VI-B
-/// (conflict_tree.hpp) via its union-building insert_merge().
+/// (conflict_tree.hpp) via its union-building insert_merge(). A clean
+/// access pays only for that bookkeeping -- its conflict queries and one
+/// insert per segment; diagnostic text is rendered only for a hit.
 ///
 /// Reporting has two paths sharing one recorded state:
 ///  - Config::check_conflicts (legacy, default on): a conflict raises
@@ -54,11 +56,13 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "src/mpisim/conflict_tree.hpp"
+#include "src/mpisim/datatype.hpp"
 #include "src/mpisim/op.hpp"
 
 namespace mpisim {
@@ -163,6 +167,15 @@ class RmaChecker {
   void record_op(std::uint64_t win, int target, int origin, int world_origin,
                  OpKind kind, Op op, std::ptrdiff_t lo, std::ptrdiff_t hi,
                  const char* scope);
+
+  /// record_op() for every target segment of one operation: segment s
+  /// covers [disp + s.offset, disp + s.offset + s.length). The epoch is
+  /// looked up once; the segments are recorded and checked in order, so
+  /// segments of one op that overlap each other conflict. Clean segments
+  /// render no diagnostic text.
+  void record_op(std::uint64_t win, int target, int origin, int world_origin,
+                 OpKind kind, Op op, std::ptrdiff_t disp,
+                 std::span<const Segment> segs, const char* scope);
 
   /// A direct local load/store of [lo, hi) in \p rank's window slice was
   /// declared (Win::local_access_begin). \p covered means the caller holds

@@ -173,6 +173,9 @@ bool ConflictTree::insert(std::uintptr_t lo, std::uintptr_t hi) {
 
 void ConflictTree::insert_merge(std::uintptr_t lo, std::uintptr_t hi) {
   if (lo > hi) return;
+  // Common case first: nothing overlaps, and the single check-and-insert
+  // descent succeeds. On overlap insert() leaves the tree unchanged.
+  if (insert(lo, hi)) return;
   // Absorb every stored range the new one touches, extending the new range
   // to their union, then insert the (now conflict-free) union.
   for (;;) {

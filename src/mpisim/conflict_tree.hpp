@@ -57,6 +57,7 @@ class ConflictTree {
   /// and replaced by one range covering them all. Unlike insert(), this
   /// never fails -- it is the accumulation primitive of the RMA checker,
   /// which records coverage and must keep recording after an overlap.
+  /// Without an overlap it costs one descent, like insert().
   void insert_merge(std::uintptr_t lo, std::uintptr_t hi);
 
   /// insert_merge() that additionally absorbs stored ranges *adjacent* to

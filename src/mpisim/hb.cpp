@@ -298,11 +298,13 @@ std::string HbChecker::rank_desc(int world) const {
 
 void HbChecker::check(const TargetRec& t, std::uint64_t space, int target,
                       const Pending& a) {
-  const std::string what =
-      rank_desc(a.world_origin) + "'s " +
-      kind_desc(a.kind, a.op, a.direct) + " " + byte_range(a.lo, a.hi) +
-      " in rank " + std::to_string(target) + "'s slice of " +
-      space_name(space) + scope_suffix(a.scope);
+  // Rendered only for a hit (report() raises, so at most once).
+  const auto what = [&] {
+    return rank_desc(a.world_origin) + "'s " +
+           kind_desc(a.kind, a.op, a.direct) + " " + byte_range(a.lo, a.hi) +
+           " in rank " + std::to_string(target) + "'s slice of " +
+           space_name(space) + scope_suffix(a.scope);
+  };
 
   // (a) In-flight accesses by other origins: no synchronization edge can
   // order an operation that has not been completed yet -- the missing
@@ -323,7 +325,7 @@ void HbChecker::check(const TargetRec& t, std::uint64_t space, int target,
     else
       cls = HbRace::rw;
     report(cls, a.world_origin,
-           what + " races with " + rank_desc(p.world_origin) +
+           what() + " races with " + rank_desc(p.world_origin) +
                "'s in-flight " + kind_desc(p.kind, p.op, p.direct) + " " +
                byte_range(p.lo, p.hi) + scope_suffix(p.scope) +
                "; missing edge: the prior operation was never completed by "
@@ -371,7 +373,7 @@ void HbChecker::check(const TargetRec& t, std::uint64_t space, int target,
     else
       cls = HbRace::rw;
     std::string msg =
-        what + " races with " + rank_desc(s.world_origin) +
+        what() + " races with " + rank_desc(s.world_origin) +
         "'s " + prior_kind + " " + byte_range(olo, ohi) + " (epoch #" +
         std::to_string(s.id) + ", published at " + s.how +
         scope_suffix(s.scope) + ")";
@@ -391,20 +393,35 @@ void HbChecker::record_op(std::uint64_t space, int target, int origin,
                           int world_origin, OpKind kind, Op op,
                           std::ptrdiff_t lo, std::ptrdiff_t hi,
                           const char* scope) {
-  if (!enabled_ || muted_ != 0 || lo >= hi) return;
-  Pending a;
-  a.origin = origin;
-  a.world_origin = world_origin;
-  a.kind = kind;
-  a.op = op;
-  a.direct = false;
-  a.lo = static_cast<std::uintptr_t>(lo);
-  a.hi = static_cast<std::uintptr_t>(hi) - 1;
-  a.scope = scope;
+  if (lo >= hi) return;
+  const Segment seg{lo, static_cast<std::size_t>(hi - lo)};
+  record_op(space, target, origin, world_origin, kind, op, 0, {&seg, 1},
+            scope);
+}
+
+void HbChecker::record_op(std::uint64_t space, int target, int origin,
+                          int world_origin, OpKind kind, Op op,
+                          std::ptrdiff_t disp, std::span<const Segment> segs,
+                          const char* scope) {
+  if (!enabled_ || muted_ != 0) return;
   TargetRec& t = spaces_[{space, target}];
-  check(t, space, target, a);
-  t.pending.push_back(a);
-  ++intervals_;
+  for (const Segment& seg : segs) {
+    const std::ptrdiff_t lo = disp + seg.offset;
+    const std::ptrdiff_t hi = lo + static_cast<std::ptrdiff_t>(seg.length);
+    if (lo >= hi) continue;
+    Pending a;
+    a.origin = origin;
+    a.world_origin = world_origin;
+    a.kind = kind;
+    a.op = op;
+    a.direct = false;
+    a.lo = static_cast<std::uintptr_t>(lo);
+    a.hi = static_cast<std::uintptr_t>(hi) - 1;
+    a.scope = scope;
+    check(t, space, target, a);
+    t.pending.push_back(a);
+    ++intervals_;
+  }
 }
 
 void HbChecker::direct_op(std::uint64_t space, int target, int origin,

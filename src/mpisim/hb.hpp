@@ -58,6 +58,7 @@
 #include <cstdint>
 #include <list>
 #include <map>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -227,6 +228,13 @@ class HbChecker {
   void record_op(std::uint64_t space, int target, int origin,
                  int world_origin, OpKind kind, Op op, std::ptrdiff_t lo,
                  std::ptrdiff_t hi, const char* scope);
+
+  /// record_op() for every target segment of one operation: segment s
+  /// covers [disp + s.offset, disp + s.offset + s.length). The shadow
+  /// target is looked up once; the segments are checked in order.
+  void record_op(std::uint64_t space, int target, int origin,
+                 int world_origin, OpKind kind, Op op, std::ptrdiff_t disp,
+                 std::span<const Segment> segs, const char* scope);
 
   /// An atomically-completing direct access (shm fast path, native
   /// backend): check and publish in one step under the global lock.

@@ -768,37 +768,23 @@ void Win::rma_op(OpKind kind, const void* origin, std::size_t origin_count,
   const std::vector<Segment> tsegs = target_type.flatten(target_count);
 
   // ---- MPI-2 conflicting-access detection (checker.hpp) ----
-  // Record-and-check per segment, so conflicts *within* one operation
-  // (e.g. a put datatype that writes the same bytes twice) are caught too:
-  // earlier segments of this op are already recorded when later segments
-  // are checked. With Config::check_conflicts a conflict raises
-  // Errc::conflicting_access here; in rma_check warn/abort mode it is
-  // reported when the epoch completes.
-  if (core.checker().enabled()) {
+  // Each checker records and checks the op's target segments in order, so
+  // conflicts *within* one operation (e.g. a put datatype that writes the
+  // same bytes twice) are caught too: earlier segments of this op are
+  // already recorded when later segments are checked. With
+  // Config::check_conflicts a conflict raises Errc::conflicting_access
+  // here; in rma_check warn/abort mode it is reported when the epoch
+  // completes.
+  if (core.checker().enabled() || core.hb().enabled()) {
     const auto chk_kind = kind == OpKind::put   ? RmaChecker::OpKind::put
                           : kind == OpKind::get ? RmaChecker::OpKind::get
                                                 : RmaChecker::OpKind::acc;
+    const auto disp = static_cast<std::ptrdiff_t>(target_disp);
     const char* scope = detail::trace_scope(me);
-    for (const Segment& s : tsegs) {
-      const std::ptrdiff_t lo =
-          static_cast<std::ptrdiff_t>(target_disp) + s.offset;
-      core.checker().record_op(w.id, target_rank, myrank, me.rank(), chk_kind,
-                               op, lo, lo + static_cast<std::ptrdiff_t>(s.length),
-                               scope);
-    }
-  }
-  if (core.hb().enabled()) {
-    const auto hb_kind = kind == OpKind::put   ? RmaChecker::OpKind::put
-                         : kind == OpKind::get ? RmaChecker::OpKind::get
-                                               : RmaChecker::OpKind::acc;
-    const char* scope = detail::trace_scope(me);
-    for (const Segment& s : tsegs) {
-      const std::ptrdiff_t lo =
-          static_cast<std::ptrdiff_t>(target_disp) + s.offset;
-      core.hb().record_op(w.id, target_rank, myrank, me.rank(), hb_kind, op,
-                          lo, lo + static_cast<std::ptrdiff_t>(s.length),
-                          scope);
-    }
+    core.checker().record_op(w.id, target_rank, myrank, me.rank(), chk_kind,
+                             op, disp, tsegs, scope);
+    core.hb().record_op(w.id, target_rank, myrank, me.rank(), chk_kind, op,
+                        disp, tsegs, scope);
   }
 
   // ---- Data movement (safe under the global lock) ----

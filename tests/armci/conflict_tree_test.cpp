@@ -5,7 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <iterator>
+#include <map>
 #include <random>
+#include <utility>
 #include <vector>
 
 #include "src/armci/iov.hpp"
@@ -300,6 +304,169 @@ TEST(ConflictTreeTest, VisitOnEmptyTreeIsANoOp) {
   int calls = 0;
   t.visit([&](std::uintptr_t, std::uintptr_t) { ++calls; });
   EXPECT_EQ(calls, 0);
+}
+
+// ---- Differential test against a naive interval-set oracle ----
+//
+// A std::map from lo to hi holding the same disjoint inclusive ranges,
+// updated by brute force. Every operation's result and the full stored set
+// are compared after each step, with the AVL invariants checked after
+// every mutation. Ascending disjoint runs exercise insert_merge's
+// single-descent path; overlapping and touching runs exercise its absorb
+// loop and insert_coalesce's adjacency rule.
+
+using Range = std::pair<std::uintptr_t, std::uintptr_t>;
+
+class Oracle {
+ public:
+  bool insert(std::uintptr_t lo, std::uintptr_t hi) {
+    if (conflicts(lo, hi)) return false;
+    set_[lo] = hi;
+    return true;
+  }
+
+  /// Absorb every stored range overlapping [lo, hi] -- or, when
+  /// \p touching, also ending just below lo or starting just above hi --
+  /// growing the range to each union until nothing more qualifies, then
+  /// store it.
+  void absorb(std::uintptr_t lo, std::uintptr_t hi, bool touching) {
+    for (bool grew = true; grew;) {
+      grew = false;
+      const std::uintptr_t plo = touching && lo != 0 ? lo - 1 : lo;
+      const std::uintptr_t phi = touching && hi != UINTPTR_MAX ? hi + 1 : hi;
+      for (auto it = set_.begin(); it != set_.end();) {
+        if (overlaps(*it, plo, phi)) {
+          lo = std::min(lo, it->first);
+          hi = std::max(hi, it->second);
+          it = set_.erase(it);
+          grew = true;
+        } else {
+          ++it;
+        }
+      }
+    }
+    set_[lo] = hi;
+  }
+
+  bool conflicts(std::uintptr_t lo, std::uintptr_t hi) const {
+    for (const auto& r : set_)
+      if (overlaps(r, lo, hi)) return true;
+    return false;
+  }
+
+  bool contains(const Range& r) const {
+    auto it = set_.find(r.first);
+    return it != set_.end() && it->second == r.second;
+  }
+
+  std::vector<Range> ranges() const { return {set_.begin(), set_.end()}; }
+
+ private:
+  static bool overlaps(const std::pair<const std::uintptr_t, std::uintptr_t>& r,
+                       std::uintptr_t lo, std::uintptr_t hi) {
+    return r.first <= hi && lo <= r.second;
+  }
+
+  std::map<std::uintptr_t, std::uintptr_t> set_;
+};
+
+std::vector<Range> stored(const ConflictTree& t) {
+  std::vector<Range> out;
+  t.visit([&](std::uintptr_t lo, std::uintptr_t hi) {
+    out.emplace_back(lo, hi);
+  });
+  return out;
+}
+
+/// How the next range is placed relative to the previous one.
+enum class Pattern { random, ascending_disjoint, ascending_touching };
+
+void run_differential(std::uint32_t seed, Pattern pattern, int steps) {
+  SCOPED_TRACE("seed " + std::to_string(seed) + ", pattern " +
+               std::to_string(static_cast<int>(pattern)));
+  std::mt19937 rng(seed);
+  auto pick = [&](std::uintptr_t lo, std::uintptr_t hi) {
+    return std::uniform_int_distribution<std::uintptr_t>(lo, hi)(rng);
+  };
+  ConflictTree t;
+  Oracle o;
+  std::uintptr_t cursor = 0;
+  for (int step = 0; step < steps; ++step) {
+    std::uintptr_t lo = 0;
+    std::uintptr_t len = pick(1, 24);
+    switch (pattern) {
+      case Pattern::random:
+        lo = pick(0, 600);
+        break;
+      case Pattern::ascending_disjoint:
+        lo = cursor + pick(2, 8);  // a gap of at least one byte
+        break;
+      case Pattern::ascending_touching:
+        // Start inside, on, or just past the previous range's end.
+        lo = cursor + 1 >= 4 ? cursor + 1 - pick(0, 4) : 0;
+        break;
+    }
+    const std::uintptr_t hi = lo + len - 1;
+    cursor = std::max(cursor, hi);
+
+    const int op = static_cast<int>(pick(0, 9));
+    if (op < 4) {
+      t.insert_merge(lo, hi);
+      o.absorb(lo, hi, /*touching=*/false);
+    } else if (op < 6) {
+      t.insert_coalesce(lo, hi);
+      o.absorb(lo, hi, /*touching=*/true);
+    } else if (op < 8) {
+      ASSERT_EQ(t.insert(lo, hi), o.insert(lo, hi)) << lo << ".." << hi;
+    } else {
+      ASSERT_EQ(t.conflicts(lo, hi), o.conflicts(lo, hi)) << lo << ".." << hi;
+      std::uintptr_t olo = 0;
+      std::uintptr_t ohi = 0;
+      const bool hit = t.overlapping(lo, hi, &olo, &ohi);
+      ASSERT_EQ(hit, o.conflicts(lo, hi)) << lo << ".." << hi;
+      if (hit) {
+        EXPECT_TRUE(o.contains({olo, ohi})) << olo << ".." << ohi;
+        EXPECT_TRUE(olo <= hi && lo <= ohi) << olo << ".." << ohi;
+      }
+      continue;
+    }
+    ASSERT_TRUE(t.check_invariants()) << "after step " << step;
+    ASSERT_EQ(stored(t), o.ranges()) << "after step " << step;
+    ASSERT_EQ(t.size(), o.ranges().size());
+  }
+}
+
+TEST(ConflictTreeDifferential, RandomMixedOperations) {
+  for (std::uint32_t seed = 1; seed <= 8; ++seed)
+    run_differential(seed, Pattern::random, 1500);
+}
+
+TEST(ConflictTreeDifferential, AscendingDisjointRuns) {
+  for (std::uint32_t seed = 11; seed <= 14; ++seed)
+    run_differential(seed, Pattern::ascending_disjoint, 1500);
+}
+
+TEST(ConflictTreeDifferential, AscendingOverlappingAndTouchingRuns) {
+  for (std::uint32_t seed = 21; seed <= 24; ++seed)
+    run_differential(seed, Pattern::ascending_touching, 1500);
+}
+
+// insert_merge of a range that overlaps nothing builds exactly the tree
+// insert() builds: same ranges, same shape.
+TEST(ConflictTreeDifferential, MergeWithoutOverlapMatchesInsert) {
+  std::mt19937 rng(31);
+  ConflictTree merged;
+  ConflictTree inserted;
+  std::vector<std::uintptr_t> slots(400);
+  for (std::size_t i = 0; i < slots.size(); ++i) slots[i] = 16 * i;
+  std::shuffle(slots.begin(), slots.end(), rng);
+  for (const std::uintptr_t lo : slots) {
+    merged.insert_merge(lo, lo + 7);
+    ASSERT_TRUE(inserted.insert(lo, lo + 7));
+    ASSERT_EQ(merged.height(), inserted.height());
+  }
+  EXPECT_EQ(stored(merged), stored(inserted));
+  EXPECT_TRUE(merged.check_invariants());
 }
 
 }  // namespace

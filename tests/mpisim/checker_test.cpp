@@ -506,6 +506,203 @@ TEST(CheckerTest, EnvVarOverridesConfiguredMode) {
   unsetenv("MPISIM_RMA_CHECK");
 }
 
+// ---- Golden diagnostics ----
+//
+// Full message text for every message-bearing violation class, driven on a
+// standalone checker so epoch ids, window ids and scopes are fixed. A
+// substring check cannot tell a reworded or reordered diagnostic from the
+// original; these pin every byte. (discipline is not here: the window layer
+// raises that message, the checker only counts it.)
+
+using Kind = RmaChecker::OpKind;
+
+/// Calls \p fn, which must raise Errc::rma_conflict, and returns what().
+template <typename Fn>
+std::string raised(Fn&& fn) {
+  try {
+    fn();
+  } catch (const MpiError& e) {
+    EXPECT_EQ(e.code(), Errc::rma_conflict) << e.what();
+    return e.what();
+  }
+  ADD_FAILURE() << "expected Errc::rma_conflict";
+  return {};
+}
+
+TEST(CheckerGolden, SameOrigin) {
+  RmaChecker chk(RmaCheck::abort, false, 2);
+  chk.epoch_opened(3, 1, 0, /*exclusive=*/true);
+  chk.record_op(3, 1, 0, 0, Kind::put, Op::replace, 0, 16, "ga.put");
+  chk.record_op(3, 1, 0, 0, Kind::put, Op::replace, 8, 24, "ga.put");
+  EXPECT_EQ(raised([&] { chk.epoch_closing(3, 1, 0); }),
+            "[rma_conflict] mpisim: put on bytes [8, 24) of rank 1 (win 3, "
+            "epoch #1 by origin 0, in ga.put) conflicts with a put to bytes "
+            "[0, 16) recorded earlier in the same epoch");
+  EXPECT_EQ(chk.counts(0).same_origin, 1u);
+}
+
+TEST(CheckerGolden, ConcurrentAgainstOpenEpoch) {
+  RmaChecker chk(RmaCheck::abort, false, 2);
+  chk.epoch_opened(3, 0, 0, false);
+  chk.epoch_opened(3, 0, 1, false);
+  chk.record_op(3, 0, 0, 0, Kind::get, Op::sum, 0, 8, "armci.get");
+  chk.record_op(3, 0, 1, 1, Kind::put, Op::replace, 4, 12, nullptr);
+  chk.epoch_closing(3, 0, 0);  // the reader is clean
+  EXPECT_EQ(raised([&] { chk.epoch_closing(3, 0, 1); }),
+            "[rma_conflict] mpisim: put on bytes [4, 12) of rank 0 (win 3, "
+            "epoch #2 by origin 1) conflicts with a get of bytes [0, 8) by "
+            "concurrent epoch #1 of origin 0, in armci.get");
+  EXPECT_EQ(chk.counts(1).concurrent, 1u);
+}
+
+TEST(CheckerGolden, ConcurrentAgainstClosedGhostEpoch) {
+  RmaChecker chk(RmaCheck::abort, false, 2);
+  chk.epoch_opened(3, 0, 0, false);
+  chk.epoch_opened(3, 0, 1, false);
+  chk.record_op(3, 0, 0, 0, Kind::put, Op::replace, 16, 32, "armci.put");
+  chk.epoch_closing(3, 0, 0);  // leaves its summary with epoch #2
+  chk.record_op(3, 0, 1, 1, Kind::get, Op::sum, 24, 40, "armci.get");
+  EXPECT_EQ(raised([&] { chk.epoch_closing(3, 0, 1); }),
+            "[rma_conflict] mpisim: get on bytes [24, 40) of rank 0 (win 3, "
+            "epoch #2 by origin 1, in armci.get) conflicts with a put to "
+            "bytes [16, 32) by closed concurrent epoch #1 of origin 0, in "
+            "armci.put");
+  EXPECT_EQ(chk.counts(1).concurrent, 1u);
+}
+
+TEST(CheckerGolden, AccMix) {
+  RmaChecker chk(RmaCheck::abort, false, 2);
+  chk.epoch_opened(3, 0, 0, false);
+  chk.epoch_opened(3, 0, 1, false);
+  chk.record_op(3, 0, 0, 0, Kind::acc, Op::sum, 0, 16, nullptr);
+  chk.record_op(3, 0, 1, 1, Kind::acc, Op::prod, 8, 16, nullptr);
+  chk.record_op(3, 0, 1, 1, Kind::get_acc, Op::max, 0, 4, "ga.rmw");
+  EXPECT_EQ(raised([&] { chk.epoch_closing(3, 0, 1); }),
+            "[rma_conflict] mpisim: accumulate on bytes [8, 16) of rank 0 "
+            "(win 3, epoch #2 by origin 1) conflicts with an accumulate(sum) "
+            "on bytes [0, 16) by concurrent epoch #1 of origin 0 (+1 more "
+            "violations)");
+  EXPECT_EQ(chk.counts(1).acc_mix, 2u);
+}
+
+TEST(CheckerGolden, DirectLocalAccess) {
+  RmaChecker chk(RmaCheck::abort, false, 2);
+  chk.epoch_opened(3, 0, 1, false);
+  chk.record_op(3, 0, 1, 1, Kind::put, Op::replace, 0, 16, "armci.put");
+  // The owner's undisciplined store, checked against the open epoch...
+  chk.local_begin(3, 0, 0, 8, 24, /*write=*/true, /*covered=*/false,
+                  "app.store");
+  // ...and RMA landing on the still-open store, checked against it.
+  chk.record_op(3, 0, 1, 1, Kind::get, Op::sum, 20, 28, nullptr);
+  EXPECT_EQ(raised([&] { chk.local_end(3, 0, 8); }),
+            "[rma_conflict] mpisim: direct local store to bytes [8, 24) on "
+            "rank 0 (win 3, no exclusive self-epoch, in app.store) conflicts "
+            "with a put to bytes [0, 16) by open epoch #1 of origin 1, in "
+            "armci.put");
+  EXPECT_EQ(raised([&] { chk.epoch_closing(3, 0, 1); }),
+            "[rma_conflict] mpisim: get on bytes [20, 28) of rank 0 (win 3, "
+            "epoch #1 by origin 1) conflicts with a direct local store to "
+            "bytes [8, 24) on rank 0, in app.store");
+  EXPECT_EQ(chk.counts(0).local, 1u);
+  EXPECT_EQ(chk.counts(1).local, 1u);
+}
+
+TEST(CheckerGolden, DirectLocalAccessAgainstGhostEpoch) {
+  RmaChecker chk(RmaCheck::abort, false, 3);
+  chk.epoch_opened(3, 0, 1, false);
+  chk.epoch_opened(3, 0, 2, false);
+  chk.record_op(3, 0, 1, 1, Kind::acc, Op::bor, 0, 8, nullptr);
+  chk.epoch_closing(3, 0, 1);  // its summary stays with epoch #2
+  chk.local_begin(3, 0, 0, 0, 4, /*write=*/false, /*covered=*/false,
+                  nullptr);
+  EXPECT_EQ(raised([&] { chk.local_end(3, 0, 0); }),
+            "[rma_conflict] mpisim: direct local load of bytes [0, 4) on "
+            "rank 0 (win 3, no exclusive self-epoch) conflicts with an "
+            "accumulate(bor) on bytes [0, 8) by closed concurrent epoch #1 "
+            "of origin 1");
+  chk.epoch_closing(3, 0, 2);
+}
+
+TEST(CheckerGolden, SharedMemoryAccess) {
+  RmaChecker chk(RmaCheck::abort, false, 3);
+  chk.epoch_opened(3, 1, 0, false);
+  chk.record_op(3, 1, 0, 0, Kind::put, Op::replace, 0, 12, "armci.put");
+  // A co-located rank's direct accumulate into the in-flight put's bytes...
+  chk.shm_begin(3, 1, 2, 2, Kind::acc, Op::sum, 8, 16, "armci.acc");
+  // ...and a later RMA access landing on the open shm access.
+  chk.record_op(3, 1, 0, 0, Kind::get, Op::sum, 12, 20, nullptr);
+  EXPECT_EQ(raised([&] { chk.shm_end(3, 1, 2, 8); }),
+            "[rma_conflict] mpisim: direct shared-memory accumulate to bytes "
+            "[8, 16) on rank 1 (win 3, by rank 2, no epoch, in armci.acc) "
+            "conflicts with a put to bytes [0, 12) by open epoch #1 of "
+            "origin 0, in armci.put");
+  EXPECT_EQ(raised([&] { chk.epoch_closing(3, 1, 0); }),
+            "[rma_conflict] mpisim: get on bytes [12, 20) of rank 1 (win 3, "
+            "epoch #1 by origin 0) conflicts with a direct shared-memory "
+            "accumulate to bytes [8, 16) by rank 2 on rank 1, in armci.acc");
+  // A shm load against a ghost, and a shm store seen from RMA.
+  chk.epoch_opened(3, 1, 0, false);
+  chk.epoch_opened(3, 1, 2, false);
+  chk.record_op(3, 1, 2, 2, Kind::put, Op::replace, 32, 40, nullptr);
+  chk.epoch_closing(3, 1, 2);
+  chk.shm_begin(3, 1, 1, 1, Kind::get, Op::sum, 36, 44, nullptr);
+  EXPECT_EQ(raised([&] { chk.shm_end(3, 1, 1, 36); }),
+            "[rma_conflict] mpisim: direct shared-memory load of bytes [36, "
+            "44) on rank 1 (win 3, by rank 1, no epoch) conflicts with a put "
+            "to bytes [32, 40) by closed concurrent epoch #3 of origin 2");
+  chk.shm_begin(3, 1, 2, 2, Kind::put, Op::replace, 64, 72, nullptr);
+  chk.record_op(3, 1, 0, 0, Kind::get, Op::sum, 64, 65, nullptr);
+  EXPECT_EQ(raised([&] { chk.epoch_closing(3, 1, 0); }),
+            "[rma_conflict] mpisim: get on bytes [64, 65) of rank 1 (win 3, "
+            "epoch #2 by origin 0) conflicts with a direct shared-memory "
+            "store to bytes [64, 72) by rank 2 on rank 1");
+  chk.shm_end(3, 1, 2, 64);
+}
+
+// Config::check_conflicts: the same text, raised at the issuing operation.
+TEST(CheckerGolden, ImmediateModeRaisesAtTheOperation) {
+  RmaChecker chk(RmaCheck::off, /*immediate=*/true, 2);
+  chk.epoch_opened(3, 1, 0, /*exclusive=*/false);
+  chk.record_op(3, 1, 0, 0, Kind::get, Op::sum, 0, 8, nullptr);
+  try {
+    chk.record_op(3, 1, 0, 0, Kind::acc, Op::sum, 4, 12, "armci.acc");
+    ADD_FAILURE() << "expected Errc::conflicting_access";
+  } catch (const MpiError& e) {
+    EXPECT_EQ(e.code(), Errc::conflicting_access) << e.what();
+    EXPECT_EQ(std::string(e.what()),
+              "[conflicting_access] mpisim: accumulate on bytes [4, 12) of "
+              "rank 1 (win 3, epoch #1 by origin 0, in armci.acc) conflicts "
+              "with a get of bytes [0, 8) recorded earlier in the same epoch");
+  }
+  EXPECT_EQ(chk.counts(0).acc_mix, 1u);
+}
+
+// Through the window layer: a 2-D strided put overlapping an earlier one in
+// the same epoch reports each overlapping segment, and the abort message
+// carries the count of the rest.
+TEST(CheckerGolden, StridedPutThroughTheWindow) {
+  run(abort_cfg(2), [] {
+    std::vector<double> mem(16, 0.0);
+    Win win = Win::create(mem.data(), mem.size() * sizeof(double), world());
+    world().barrier();
+    if (rank() == 0) {
+      const double src[8] = {1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0};
+      const Datatype rows = Datatype::vector(2, 2, 4, double_type());
+      win.lock(LockType::exclusive, 1);
+      win.put(src, sizeof src, 1, 0);               // bytes [0, 64)
+      win.put(src, 4, double_type(), 1, 16, 1, rows);  // [16, 32), [48, 64)
+      EXPECT_EQ(raised([&] { win.unlock(1); }),
+                "[rma_conflict] mpisim: put on bytes [16, 32) of rank 1 (win "
+                "1, epoch #1 by origin 0) conflicts with a put to bytes [0, "
+                "64) recorded earlier in the same epoch (+1 more violations)");
+      EXPECT_EQ(my_counts().same_origin, 2u);
+      win.unlock(1);
+    }
+    world().barrier();
+    win.free();
+  });
+}
+
 TEST(CheckerTest, ViolationAndModeNamesAreStable) {
   EXPECT_STREQ(rma_check_name(RmaCheck::off), "off");
   EXPECT_STREQ(rma_check_name(RmaCheck::warn), "warn");

@@ -543,6 +543,204 @@ TEST(HbCheckerUnit, WindowFreedDropsShadowState) {
       hb.record_op(7, 0, 1, 1, OpKind::put, Op::replace, 0, 8, nullptr));
 }
 
+// ---- Golden diagnostics ----
+//
+// Full message text for every race class, in both tiers (an in-flight
+// pending access; a published summary the accessor never synchronized
+// with). A substring check cannot tell a reworded or reordered diagnostic
+// from the original; these pin every byte.
+
+/// Calls \p fn, which must raise Errc::rma_race, and returns what().
+template <typename Fn>
+std::string race_message(Fn&& fn) {
+  try {
+    fn();
+  } catch (const MpiError& e) {
+    EXPECT_EQ(e.code(), Errc::rma_race) << e.what();
+    return e.what();
+  }
+  ADD_FAILURE() << "expected Errc::rma_race";
+  return {};
+}
+
+TEST(HbGolden, WriteWrite) {
+  {
+    HbChecker hb(true, 2, 0);
+    hb.record_op(7, 0, 0, 0, OpKind::put, Op::replace, 0, 16, "armci.put");
+    EXPECT_EQ(race_message([&] {
+                hb.record_op(7, 0, 1, 1, OpKind::put, Op::replace, 8, 24,
+                             nullptr);
+              }),
+              "[rma_race] mpisim: happens-before race [ww]: rank 1's put to "
+              "bytes [8, 24) in rank 0's slice of win 7 races with rank 0's "
+              "in-flight put to bytes [0, 16), in armci.put; missing edge: "
+              "the prior operation was never completed by a flush or unlock "
+              "that happens-before this access");
+  }
+  {
+    HbChecker hb(true, 2, 0);
+    hb.record_op(7, 1, 0, 0, OpKind::put, Op::replace, 0, 16, nullptr);
+    hb.lock_released(7, 1, 0, /*exclusive=*/false);
+    EXPECT_EQ(race_message([&] {
+                hb.record_op(7, 1, 1, 1, OpKind::put, Op::replace, 4, 8,
+                             "ga.put");
+              }),
+              "[rma_race] mpisim: happens-before race [ww]: rank 1's put to "
+              "bytes [4, 8) in rank 1's slice of win 7, in ga.put races with "
+              "rank 0's put to bytes [0, 16) (epoch #1, published at shared "
+              "unlock); missing edge: no synchronization (message, "
+              "collective, lock handoff, or notify) from that publication to "
+              "rank 1 before this access");
+  }
+}
+
+TEST(HbGolden, ReadWrite) {
+  {
+    HbChecker hb(true, 2, 0);
+    hb.record_op(7, 0, 0, 0, OpKind::put, Op::replace, 0, 16, nullptr);
+    EXPECT_EQ(race_message([&] {
+                hb.record_op(7, 0, 1, 1, OpKind::get, Op::sum, 0, 8,
+                             "armci.get");
+              }),
+              "[rma_race] mpisim: happens-before race [rw]: rank 1's get of "
+              "bytes [0, 8) in rank 0's slice of win 7, in armci.get races "
+              "with rank 0's in-flight put to bytes [0, 16); missing edge: "
+              "the prior operation was never completed by a flush or unlock "
+              "that happens-before this access");
+  }
+  {
+    HbChecker hb(true, 2, 0);
+    hb.record_op(7, 0, 0, 0, OpKind::get, Op::sum, 32, 48, "armci.get");
+    hb.epoch_flushed(7, 0, 0);
+    EXPECT_EQ(race_message([&] {
+                hb.record_op(7, 0, 1, 1, OpKind::put, Op::replace, 40, 56,
+                             nullptr);
+              }),
+              "[rma_race] mpisim: happens-before race [rw]: rank 1's put to "
+              "bytes [40, 56) in rank 0's slice of win 7 races with rank 0's "
+              "get of bytes [32, 48) (epoch #1, published at flush, in "
+              "armci.get); missing edge: no synchronization (message, "
+              "collective, lock handoff, or notify) from that publication to "
+              "rank 1 before this access");
+  }
+}
+
+TEST(HbGolden, AccMix) {
+  {
+    HbChecker hb(true, 2, 0);
+    hb.record_op(7, 0, 0, 0, OpKind::acc, Op::sum, 0, 16, nullptr);
+    EXPECT_EQ(race_message([&] {
+                hb.record_op(7, 0, 1, 1, OpKind::get_acc, Op::max, 8, 16,
+                             nullptr);
+              }),
+              "[rma_race] mpisim: happens-before race [acc_mix]: rank 1's "
+              "get_accumulate(max) on bytes [8, 16) in rank 0's slice of win "
+              "7 races with rank 0's in-flight accumulate(sum) on bytes [0, "
+              "16); missing edge: the prior operation was never completed by "
+              "a flush or unlock that happens-before this access");
+  }
+  {
+    HbChecker hb(true, 2, 0);
+    hb.record_op(7, 0, 0, 0, OpKind::acc, Op::sum, 0, 16, "armci.acc");
+    hb.lock_released(7, 0, 0, /*exclusive=*/true);
+    EXPECT_EQ(race_message([&] {
+                hb.record_op(7, 0, 1, 1, OpKind::acc, Op::prod, 0, 8,
+                             nullptr);
+              }),
+              "[rma_race] mpisim: happens-before race [acc_mix]: rank 1's "
+              "accumulate(prod) on bytes [0, 8) in rank 0's slice of win 7 "
+              "races with rank 0's accumulate on bytes [0, 16) (epoch #1, "
+              "published at unlock, in armci.acc) [op sum]; missing edge: no "
+              "synchronization (message, collective, lock handoff, or "
+              "notify) from that publication to rank 1 before this access");
+  }
+}
+
+TEST(HbGolden, SharedMemory) {
+  {
+    // A direct store against an in-flight put, on a native-backend region.
+    const std::uint64_t gmr = HbChecker::kNativeSpace | 5;
+    HbChecker hb(true, 2, 0);
+    hb.record_op(gmr, 1, 0, 0, OpKind::put, Op::replace, 0, 16, nullptr);
+    EXPECT_EQ(race_message([&] {
+                hb.access_begin(gmr, 1, 1, 1, /*write=*/true, 0, 8,
+                                "app.store");
+              }),
+              "[rma_race] mpisim: happens-before race [shm]: rank 1's direct "
+              "store to bytes [0, 8) in rank 1's slice of gmr 5, in "
+              "app.store races with rank 0's in-flight put to bytes [0, 16); "
+              "missing edge: the prior operation was never completed by a "
+              "flush or unlock that happens-before this access");
+  }
+  {
+    // A cpu-atomic accumulate against a published put.
+    HbChecker hb(true, 2, 0);
+    hb.record_op(7, 1, 0, 0, OpKind::put, Op::replace, 0, 16, nullptr);
+    hb.epoch_flushed(7, 1, 0);
+    EXPECT_EQ(race_message([&] {
+                hb.direct_op(7, 1, 1, 1, OpKind::acc, Op::sum, 8, 16,
+                             "armci.acc");
+              }),
+              "[rma_race] mpisim: happens-before race [shm]: rank 1's "
+              "cpu-atomic accumulate(sum) on bytes [8, 16) in rank 1's slice "
+              "of win 7, in armci.acc races with rank 0's put to bytes [0, "
+              "16) (epoch #1, published at flush); missing edge: no "
+              "synchronization (message, collective, lock handoff, or "
+              "notify) from that publication to rank 1 before this access");
+  }
+  {
+    // A put against a published direct load; the prior is the progress
+    // persona's, so it is named as such.
+    HbChecker hb(true, 2, 0);
+    hb.direct_op(7, 0, 1, hb.persona(1), OpKind::get, Op::sum, 0, 8,
+                 nullptr);
+    EXPECT_EQ(race_message([&] {
+                hb.record_op(7, 0, 0, 0, OpKind::put, Op::replace, 0, 8,
+                             nullptr);
+              }),
+              "[rma_race] mpisim: happens-before race [shm]: rank 0's put to "
+              "bytes [0, 8) in rank 0's slice of win 7 races with rank 1's "
+              "progress persona's get of bytes [0, 8) (epoch #1, published "
+              "at direct access); missing edge: no synchronization (message, "
+              "collective, lock handoff, or notify) from that publication to "
+              "rank 0 before this access");
+  }
+}
+
+TEST(HbGolden, DeadOrigin) {
+  {
+    HbChecker hb(true, 3, 0);
+    hb.record_local_pending(7, 2, 0, 0, OpKind::put, Op::replace, 0, 16,
+                            "armci.put");
+    hb.note_death(0);
+    EXPECT_EQ(race_message([&] {
+                hb.record_op(7, 2, 1, 1, OpKind::get, Op::sum, 0, 8,
+                             nullptr);
+              }),
+              "[rma_race] mpisim: happens-before race [dead_origin]: rank "
+              "1's get of bytes [0, 8) in rank 2's slice of win 7 races with "
+              "rank 0's in-flight put to bytes [0, 16), in armci.put; "
+              "missing edge: the prior operation was never completed by a "
+              "flush or unlock that happens-before this access");
+  }
+  {
+    HbChecker hb(true, 3, 0);
+    hb.record_op(7, 2, 0, 0, OpKind::acc, Op::min, 0, 16, nullptr);
+    hb.epoch_flushed(7, 2, 0);
+    hb.note_death(0);
+    EXPECT_EQ(race_message([&] {
+                hb.record_op(7, 2, 1, 1, OpKind::put, Op::replace, 0, 8,
+                             "ga.put");
+              }),
+              "[rma_race] mpisim: happens-before race [dead_origin]: rank "
+              "1's put to bytes [0, 8) in rank 2's slice of win 7, in ga.put "
+              "races with rank 0's accumulate on bytes [0, 16) (epoch #1, "
+              "published at flush) [op min]; missing edge: the origin died "
+              "and no failure_ack/agree/shrink recovery edge precedes this "
+              "access");
+  }
+}
+
 TEST(HbCheckerUnit, MuteScopeSuppressesRecording) {
   HbChecker hb(true, 2, 0);
   publish_put(hb, 0, 0, 8);
