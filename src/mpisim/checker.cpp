@@ -56,23 +56,48 @@ const char* rma_violation_name(RmaViolation v) noexcept {
   return "?";
 }
 
-RmaChecker::RmaChecker(RmaCheck mode, bool immediate, int nranks)
-    : mode_(mode),
-      immediate_(immediate),
-      per_rank_(static_cast<std::size_t>(nranks > 0 ? nranks : 1)) {}
-
-bool RmaChecker::Sets::empty() const noexcept {
-  if (!reads.empty() || !writes.empty()) return false;
-  for (const auto& [op, tree] : accs)
-    if (!tree.empty()) return false;
-  return true;
+bool AccessSet::conflict(AccessKind kind, Op op, std::uintptr_t lo,
+                         std::uintptr_t hi, AccessHit* hit) const {
+  using Kind = AccessHit::Kind;
+  std::uintptr_t olo = 0;
+  std::uintptr_t ohi = 0;
+  if (accesses_conflict(kind, op, AccessKind::get, Op::replace) &&
+      reads.overlapping(lo, hi, &olo, &ohi)) {
+    *hit = AccessHit{Kind::read, Op::sum, olo, ohi};
+    return true;
+  }
+  if (accesses_conflict(kind, op, AccessKind::put, Op::replace) &&
+      writes.overlapping(lo, hi, &olo, &ohi)) {
+    *hit = AccessHit{Kind::write, Op::sum, olo, ohi};
+    return true;
+  }
+  // The rule treats acc and get_acc alike, so one tree per operator serves
+  // both.
+  for (const auto& [o, tree] : accs) {
+    if (accesses_conflict(kind, op, AccessKind::acc, o) &&
+        tree.overlapping(lo, hi, &olo, &ohi)) {
+      *hit = AccessHit{Kind::acc, o, olo, ohi};
+      return true;
+    }
+  }
+  return false;
 }
 
-void RmaChecker::Sets::clear() noexcept {
+std::size_t AccessSet::size() const noexcept {
+  std::size_t n = reads.size() + writes.size();
+  for (const auto& [op, tree] : accs) n += tree.size();
+  return n;
+}
+
+void AccessSet::clear() noexcept {
   reads.clear();
   writes.clear();
   accs.clear();
 }
+
+RmaChecker::RmaChecker(RmaCheck mode, int nranks)
+    : mode_(mode),
+      per_rank_(static_cast<std::size_t>(nranks > 0 ? nranks : 1)) {}
 
 void RmaChecker::epoch_opened(std::uint64_t win, int target, int origin,
                               bool exclusive) {
@@ -158,65 +183,25 @@ void RmaChecker::epoch_abandoned(std::uint64_t win, int target, int origin) {
 
 void RmaChecker::window_freed(std::uint64_t win) { wins_.erase(win); }
 
-bool RmaChecker::conflict_with(const Sets& s, OpKind kind, Op op,
-                               std::uintptr_t lo, std::uintptr_t hi,
-                               Hit* hit) {
-  std::uintptr_t olo = 0;
-  std::uintptr_t ohi = 0;
-  // MPI-2 access rules: get conflicts with writes and accumulates; put with
-  // everything; accumulates conflict with reads, writes, and accumulates
-  // using a *different* operator (same-op overlap is the one concurrency the
-  // model blesses). get_accumulate follows MPI's same_op_no_op rule: no_op
-  // mixes with any accumulate operator.
-  if (kind != OpKind::get && s.reads.overlapping(lo, hi, &olo, &ohi)) {
-    *hit = Hit{Hit::Kind::read, Op::sum, olo, ohi};
-    return true;
-  }
-  if (s.writes.overlapping(lo, hi, &olo, &ohi)) {
-    *hit = Hit{Hit::Kind::write, Op::sum, olo, ohi};
-    return true;
-  }
-  for (const auto& [o, tree] : s.accs) {
-    bool mixes = false;
-    switch (kind) {
-      case OpKind::put:
-      case OpKind::get:
-        mixes = true;
-        break;
-      case OpKind::acc:
-        mixes = o != op;
-        break;
-      case OpKind::get_acc:
-        mixes = o != op && o != Op::no_op && op != Op::no_op;
-        break;
-    }
-    if (mixes && tree.overlapping(lo, hi, &olo, &ohi)) {
-      *hit = Hit{Hit::Kind::acc, o, olo, ohi};
-      return true;
-    }
-  }
-  return false;
-}
-
-RmaViolation RmaChecker::classify(OpKind kind, const Hit& hit,
+RmaViolation RmaChecker::classify(OpKind kind, const AccessHit& hit,
                                   bool same_origin, bool local) {
   if (local) return RmaViolation::local;
-  if (hit.kind == Hit::Kind::acc || kind == OpKind::acc ||
-      kind == OpKind::get_acc)
+  if (hit.kind == AccessHit::Kind::acc || acc_class(kind))
     return RmaViolation::acc_mix;
   return same_origin ? RmaViolation::same_origin : RmaViolation::concurrent;
 }
 
-std::string RmaChecker::describe_hit(const Hit& hit) {
+std::string RmaChecker::describe_hit(const AccessHit& hit) {
+  using Kind = AccessHit::Kind;
   switch (hit.kind) {
-    case Hit::Kind::read:
+    case Kind::read:
       return "a get of " + byte_range_incl(hit.lo, hit.hi);
-    case Hit::Kind::write:
+    case Kind::write:
       return "a put to " + byte_range_incl(hit.lo, hit.hi);
-    case Hit::Kind::acc:
+    case Kind::acc:
       return std::string("an accumulate(") + op_name(hit.op) + ") on " +
              byte_range_incl(hit.lo, hit.hi);
-    case Hit::Kind::none:
+    case Kind::none:
       break;
   }
   return "an access";
@@ -229,10 +214,7 @@ void RmaChecker::flag(std::vector<Violation>& pending, RmaViolation cls,
     per_rank_[static_cast<std::size_t>(world_rank)]
         .v[static_cast<int>(cls)]
         .fetch_add(1, std::memory_order_relaxed);
-  // Legacy issue-time path (Config::check_conflicts): the operation itself
-  // is the error site. Deferral is the rma_check refinement.
-  if (immediate_) raise(Errc::conflicting_access, msg);
-  if (mode_ != RmaCheck::off) pending.push_back({cls, std::move(msg)});
+  pending.push_back({cls, std::move(msg)});
 }
 
 void RmaChecker::report(std::vector<Violation>& pending) {
@@ -286,10 +268,7 @@ void RmaChecker::record_op(std::uint64_t win, int target, int origin,
   const bool writes_target =
       kind == OpKind::put || kind == OpKind::acc ||
       (kind == OpKind::get_acc && op != Op::no_op);
-  const bool acc_class = kind == OpKind::acc || kind == OpKind::get_acc;
-  ConflictTree& into = kind == OpKind::get   ? ep.sets.reads
-                       : kind == OpKind::put ? ep.sets.writes
-                                             : ep.sets.accs[op];
+  ConflictTree& into = ep.sets.tree(kind, op);
 
   // Record-and-check one segment at a time, so an op whose segments overlap
   // each other conflicts with itself. Diagnostic text is only rendered on a
@@ -309,13 +288,13 @@ void RmaChecker::record_op(std::uint64_t win, int target, int origin,
              ")";
     };
 
-    Hit hit;
+    AccessHit hit;
     // Epoch-vs-epoch rules apply to MPI-2 lock epochs only: under an MPI-3
     // lock_all epoch conflicting operations have undefined values but are
     // not erroneous. The op is still recorded below so a concurrent direct
     // shared-memory access (shm_begin) can be checked against it.
     if (!ep.mpi3) {
-      if (conflict_with(ep.sets, kind, op, ulo, uhi, &hit))
+      if (ep.sets.conflict(kind, op, ulo, uhi, &hit))
         flag(ep.pending, classify(kind, hit, /*same_origin=*/true, false),
              world_origin,
              what() + " conflicts with " + describe_hit(hit) +
@@ -323,7 +302,7 @@ void RmaChecker::record_op(std::uint64_t win, int target, int origin,
 
       for (auto& [orank, oe] : tr.open) {
         if (orank == origin || oe.mpi3) continue;
-        if (conflict_with(oe.sets, kind, op, ulo, uhi, &hit))
+        if (oe.sets.conflict(kind, op, ulo, uhi, &hit))
           flag(ep.pending, classify(kind, hit, false, false), world_origin,
                what() + " conflicts with " + describe_hit(hit) +
                    " by concurrent epoch #" + std::to_string(oe.id) +
@@ -332,7 +311,7 @@ void RmaChecker::record_op(std::uint64_t win, int target, int origin,
       }
 
       for (const auto& g : ep.ghosts) {
-        if (conflict_with(g->sets, kind, op, ulo, uhi, &hit))
+        if (g->sets.conflict(kind, op, ulo, uhi, &hit))
           flag(ep.pending, classify(kind, hit, false, false), world_origin,
                what() + " conflicts with " + describe_hit(hit) +
                    " by closed concurrent epoch #" +
@@ -353,9 +332,8 @@ void RmaChecker::record_op(std::uint64_t win, int target, int origin,
       if (!lrec.write && !writes_target) continue;
       // The shm accumulate path is element-atomic with RMA accumulates
       // (both apply under the runtime's accumulate atomicity), so only the
-      // MPI acc-mixing rules make it a conflict: a different operator, or a
-      // non-accumulate access (no_op mixes with any operator).
-      if (lrec.acc && acc_class && (op == lrec.op || op == Op::no_op))
+      // MPI acc-mixing rules make it a conflict.
+      if (lrec.acc && !accesses_conflict(kind, op, OpKind::acc, lrec.op))
         continue;
       flag(ep.pending, RmaViolation::local, world_origin,
            what() + " conflicts with a direct " +
@@ -404,16 +382,16 @@ void RmaChecker::local_begin(std::uint64_t win, int rank, int world_rank,
              std::to_string(win) + ", no exclusive self-epoch" +
              scope_suffix(scope) + ")";
     };
-    Hit hit;
+    AccessHit hit;
     for (auto& [orank, oe] : tr.open) {
       if (oe.mpi3) continue;
-      if (conflict_with(oe.sets, as_kind, Op::replace, ulo, uhi, &hit))
+      if (oe.sets.conflict(as_kind, Op::replace, ulo, uhi, &hit))
         flag(lrec.pending, RmaViolation::local, world_rank,
              what() + " conflicts with " + describe_hit(hit) +
                  " by open epoch #" + std::to_string(oe.id) + " of origin " +
                  std::to_string(orank) + scope_suffix(oe.scope));
       for (const auto& g : oe.ghosts) {
-        if (conflict_with(g->sets, as_kind, Op::replace, ulo, uhi, &hit))
+        if (g->sets.conflict(as_kind, Op::replace, ulo, uhi, &hit))
           flag(lrec.pending, RmaViolation::local, world_rank,
                what() + " conflicts with " + describe_hit(hit) +
                    " by closed concurrent epoch #" +
@@ -459,9 +437,9 @@ void RmaChecker::shm_begin(std::uint64_t win, int target, int origin,
   // it against every epoch open on the target's memory as if it were a
   // same-address RMA op -- including MPI-3 lock_all epochs, whose recorded
   // in-flight operations a concurrent direct load/store genuinely races
-  // (nothing orders the two until the next flush). conflict_with applies
-  // the acc-mixing rules, so the CPU-atomic accumulate path coexists with
-  // same-operator RMA accumulates.
+  // (nothing orders the two until the next flush). The conflict query
+  // applies the acc-mixing rules, so the CPU-atomic accumulate path
+  // coexists with same-operator RMA accumulates.
   const auto ulo = static_cast<std::uintptr_t>(lo);
   const auto uhi = static_cast<std::uintptr_t>(hi) - 1;
   const auto what = [&] {
@@ -471,16 +449,16 @@ void RmaChecker::shm_begin(std::uint64_t win, int target, int origin,
            " (win " + std::to_string(win) + ", by rank " +
            std::to_string(origin) + ", no epoch" + scope_suffix(scope) + ")";
   };
-  Hit hit;
+  AccessHit hit;
   for (auto& [orank, oe] : tr.open) {
     if (oe.mpi3 && orank == origin) continue;  // own standing lock_all epoch
-    if (conflict_with(oe.sets, kind, op, ulo, uhi, &hit))
+    if (oe.sets.conflict(kind, op, ulo, uhi, &hit))
       flag(lrec.pending, RmaViolation::local, world_origin,
            what() + " conflicts with " + describe_hit(hit) +
                " by open epoch #" + std::to_string(oe.id) + " of origin " +
                std::to_string(orank) + scope_suffix(oe.scope));
     for (const auto& g : oe.ghosts) {
-      if (conflict_with(g->sets, kind, op, ulo, uhi, &hit))
+      if (g->sets.conflict(kind, op, ulo, uhi, &hit))
         flag(lrec.pending, RmaViolation::local, world_origin,
              what() + " conflicts with " + describe_hit(hit) +
                  " by closed concurrent epoch #" +

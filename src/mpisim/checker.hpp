@@ -34,14 +34,11 @@
 /// access pays only for that bookkeeping -- its conflict queries and one
 /// insert per segment; diagnostic text is rendered only for a hit.
 ///
-/// Reporting has two paths sharing one recorded state:
-///  - Config::check_conflicts (legacy, default on): a conflict raises
-///    Errc::conflicting_access immediately at the issuing operation;
-///  - Config::rma_check = warn | abort: conflicts become structured
-///    diagnostics reported when the access epoch completes -- at unlock /
-///    flush / local_access_end -- as MPI-2 prescribes for erroneous-access
-///    detection. warn prints to stderr and counts; abort raises
-///    Errc::rma_conflict.
+/// Conflicts become structured diagnostics reported when the access epoch
+/// completes -- at unlock / flush / local_access_end -- as MPI-2 prescribes
+/// for erroneous-access detection. Config::rma_check picks what a report
+/// does: abort (the default) raises Errc::rma_conflict, warn prints to
+/// stderr and counts, off records nothing.
 ///
 /// Epochs opened by lock_all() follow MPI-3 semantics (conflicting accesses
 /// have undefined *values* but are not erroneous) and are not tracked.
@@ -69,7 +66,7 @@ namespace mpisim {
 
 /// Checker reporting mode (Config::rma_check).
 enum class RmaCheck {
-  off,   ///< record nothing (unless check_conflicts is on)
+  off,   ///< record nothing
   warn,  ///< print each violation to stderr at epoch completion and count it
   abort, ///< raise Errc::rma_conflict at epoch completion
   race   ///< abort, plus the vector-clock happens-before detector (hb.hpp)
@@ -109,25 +106,77 @@ struct RmaCheckCounts {
   }
 };
 
+/// Kind of a recorded access. get_acc is accumulate-class but follows
+/// MPI's same_op_no_op mixing rule.
+enum class AccessKind { put, get, acc, get_acc };
+
+constexpr bool acc_class(AccessKind k) noexcept {
+  return k == AccessKind::acc || k == AccessKind::get_acc;
+}
+
+/// The MPI-2 conflict rule for two overlapping accesses, stated once for
+/// both checkers: only get/get and same-operator accumulate/accumulate
+/// overlap is blessed, and no_op (get_accumulate's pure fetch) mixes with
+/// any accumulate operator.
+constexpr bool accesses_conflict(AccessKind a, Op aop, AccessKind b,
+                                 Op bop) noexcept {
+  if (acc_class(a) && acc_class(b))
+    return aop != bop && aop != Op::no_op && bop != Op::no_op;
+  return a != AccessKind::get || b != AccessKind::get;
+}
+
+/// What an AccessSet conflict query matched: which tree, and for
+/// accumulates which operator.
+struct AccessHit {
+  enum class Kind { none, read, write, acc } kind = Kind::none;
+  Op op = Op::sum;
+  std::uintptr_t lo = 0;  ///< the previously recorded interval (inclusive)
+  std::uintptr_t hi = 0;
+};
+
+/// Recorded byte coverage of one epoch (RmaChecker) or one published
+/// summary (HbChecker), in one AVL conflict tree per class the MPI rule
+/// tells apart. Each checker inserts with its own primitive -- RmaChecker
+/// insert_merge (diagnostics print the recorded interval), HbChecker
+/// insert_coalesce (its memory bound counts intervals) -- into the tree
+/// this type picks.
+struct AccessSet {
+  ConflictTree reads;
+  ConflictTree writes;
+  std::map<Op, ConflictTree> accs;
+
+  /// The tree an access of \p kind with operator \p op is recorded in.
+  ConflictTree& tree(AccessKind kind, Op op) {
+    return kind == AccessKind::get   ? reads
+           : kind == AccessKind::put ? writes
+                                     : accs[op];
+  }
+
+  /// Does the inclusive range [lo, hi] of a \p kind / \p op access
+  /// conflict with a recorded access? Reads, writes, then accumulates by
+  /// operator are queried; the first match lands in \p hit.
+  bool conflict(AccessKind kind, Op op, std::uintptr_t lo, std::uintptr_t hi,
+                AccessHit* hit) const;
+
+  std::size_t size() const noexcept;
+  bool empty() const noexcept { return size() == 0; }
+  void clear() noexcept;
+};
+
 /// The detector. One instance per SimCore; all window state flows through
 /// it when enabled().
 class RmaChecker {
  public:
-  /// \p immediate is Config::check_conflicts: raise Errc::conflicting_access
-  /// at the issuing operation instead of deferring to epoch completion.
-  RmaChecker(RmaCheck mode, bool immediate, int nranks);
+  RmaChecker(RmaCheck mode, int nranks);
 
   RmaChecker(const RmaChecker&) = delete;
   RmaChecker& operator=(const RmaChecker&) = delete;
 
-  bool enabled() const noexcept {
-    return immediate_ || mode_ != RmaCheck::off;
-  }
+  bool enabled() const noexcept { return mode_ != RmaCheck::off; }
   RmaCheck mode() const noexcept { return mode_; }
 
-  /// Operation kinds recorded by the window layer. get_acc is
-  /// accumulate-class but follows MPI's same_op_no_op mixing rule.
-  enum class OpKind { put, get, acc, get_acc };
+  /// Operation kinds recorded by the window layer.
+  using OpKind = AccessKind;
 
   // ---- epoch lifecycle (caller holds SimCore::mu()) ----
 
@@ -217,16 +266,6 @@ class RmaChecker {
   RmaCheckCounts total_counts() const noexcept;
 
  private:
-  /// Per-epoch (or per-ghost) recorded coverage.
-  struct Sets {
-    ConflictTree reads;
-    ConflictTree writes;
-    std::map<Op, ConflictTree> accs;
-
-    bool empty() const noexcept;
-    void clear() noexcept;
-  };
-
   /// Summary of a closed epoch, shared by every epoch it was concurrent
   /// with (conflicts across the overlap window are erroneous regardless of
   /// the order the accesses actually happened in).
@@ -235,7 +274,7 @@ class RmaChecker {
     int origin = -1;
     bool exclusive = false;
     const char* scope = nullptr;
-    Sets sets;
+    AccessSet sets;
   };
 
   struct Violation {
@@ -249,7 +288,7 @@ class RmaChecker {
     bool exclusive = false;
     bool mpi3 = false;
     const char* scope = nullptr;  ///< innermost trace scope of the last op
-    Sets sets;
+    AccessSet sets;
     std::vector<std::shared_ptr<const Ghost>> ghosts;
     std::vector<Violation> pending;
   };
@@ -285,22 +324,11 @@ class RmaChecker {
     std::atomic<std::uint64_t> v[kRmaViolationCount] = {};
   };
 
-  /// What a conflict query matched: which set, and for accumulates which op.
-  struct Hit {
-    enum class Kind { none, read, write, acc } kind = Kind::none;
-    Op op = Op::sum;
-    std::uintptr_t lo = 0;  ///< the previously recorded interval (inclusive)
-    std::uintptr_t hi = 0;
-  };
+  static RmaViolation classify(OpKind kind, const AccessHit& hit,
+                               bool same_origin, bool local);
+  static std::string describe_hit(const AccessHit& hit);
 
-  static bool conflict_with(const Sets& s, OpKind kind, Op op,
-                            std::uintptr_t lo, std::uintptr_t hi, Hit* hit);
-  static RmaViolation classify(OpKind kind, const Hit& hit, bool same_origin,
-                               bool local);
-  static std::string describe_hit(const Hit& hit);
-
-  /// Count, then either raise Errc::conflicting_access (immediate mode) or
-  /// defer the message into \p pending.
+  /// Count, then defer the message into \p pending.
   void flag(std::vector<Violation>& pending, RmaViolation cls, int world_rank,
             std::string msg);
 
@@ -308,7 +336,6 @@ class RmaChecker {
   void report(std::vector<Violation>& pending);
 
   RmaCheck mode_;
-  bool immediate_;
   std::uint64_t next_epoch_id_ = 1;
   std::map<std::uint64_t, WinRec> wins_;
   std::vector<PerRankCounts> per_rank_;

@@ -30,24 +30,11 @@ std::string scope_suffix(const char* scope) {
   return scope != nullptr ? std::string(", in ") + scope : std::string();
 }
 
-bool is_acc_class(HbChecker::OpKind k) noexcept {
-  return k == HbChecker::OpKind::acc || k == HbChecker::OpKind::get_acc;
-}
-
-/// Pairwise MPI conflict rule (mirrors RmaChecker::conflict_with): only
-/// read/read and same-operator accumulate/accumulate overlap is blessed;
-/// get_accumulate's no_op mixes with any operator.
-bool ops_conflict(HbChecker::OpKind k1, Op o1, HbChecker::OpKind k2, Op o2) {
-  using OpKind = HbChecker::OpKind;
-  if (k1 == OpKind::get && k2 == OpKind::get) return false;
-  if (is_acc_class(k1) && is_acc_class(k2)) {
-    if (o1 == o2) return false;
-    if ((k1 == OpKind::get_acc || k2 == OpKind::get_acc) &&
-        (o1 == Op::no_op || o2 == Op::no_op))
-      return false;
-    return true;
-  }
-  return true;
+/// Coalesce every interval of \p from into \p into.
+void absorb(ConflictTree& into, const ConflictTree& from) {
+  from.visit([&into](std::uintptr_t lo, std::uintptr_t hi) {
+    into.insert_coalesce(lo, hi);
+  });
 }
 
 }  // namespace
@@ -63,15 +50,6 @@ const char* hb_race_name(HbRace c) noexcept {
     case HbRace::dead_origin: return "dead_origin";
   }
   return "?";
-}
-
-std::size_t HbChecker::Summary::interval_count() const noexcept {
-  std::size_t n = reads.size() + writes.size();
-  for (const auto& [o, tree] : accs) {
-    (void)o;
-    n += tree.size();
-  }
-  return n;
 }
 
 HbChecker::HbChecker(bool enabled, int nranks, std::size_t max_intervals)
@@ -259,7 +237,7 @@ void HbChecker::window_freed(std::uint64_t win) {
   while (it != spaces_.end() && it->first.first == win) {
     intervals_ -= it->second.pending.size();
     for (const Summary& s : it->second.summaries)
-      intervals_ -= s.interval_count();
+      intervals_ -= s.set.size();
     it = spaces_.erase(it);
   }
 }
@@ -312,13 +290,13 @@ void HbChecker::check(const TargetRec& t, std::uint64_t space, int target,
   for (const Pending& p : t.pending) {
     if (p.world_origin == a.world_origin) continue;
     if (p.hi < a.lo || a.hi < p.lo) continue;
-    if (!ops_conflict(a.kind, a.op, p.kind, p.op)) continue;
+    if (!accesses_conflict(a.kind, a.op, p.kind, p.op)) continue;
     HbRace cls;
     if (dead_[static_cast<std::size_t>(p.world_origin)] != 0)
       cls = HbRace::dead_origin;
     else if (a.direct || p.direct)
       cls = HbRace::shm;
-    else if (is_acc_class(a.kind) || is_acc_class(p.kind))
+    else if (acc_class(a.kind) || acc_class(p.kind))
       cls = HbRace::acc_mix;
     else if (a.kind == OpKind::put && p.kind == OpKind::put)
       cls = HbRace::ww;
@@ -336,29 +314,12 @@ void HbChecker::check(const TargetRec& t, std::uint64_t space, int target,
   for (const Summary& s : t.summaries) {
     if (s.world_origin == a.world_origin) continue;
     if (ordered(s.vc, a.world_origin)) continue;
-    std::uintptr_t olo = 0;
-    std::uintptr_t ohi = 0;
-    const char* prior_kind = nullptr;
-    Op prior_op = Op::sum;
-    bool prior_write = false;
-    bool prior_acc = false;
-    if (a.kind != OpKind::get && s.reads.overlapping(a.lo, a.hi, &olo, &ohi)) {
-      prior_kind = "get of";
-    } else if (s.writes.overlapping(a.lo, a.hi, &olo, &ohi)) {
-      prior_kind = "put to";
-      prior_write = true;
-    } else {
-      for (const auto& [o, tree] : s.accs) {
-        if (!ops_conflict(a.kind, a.op, OpKind::acc, o)) continue;
-        if (tree.overlapping(a.lo, a.hi, &olo, &ohi)) {
-          prior_kind = "accumulate on";
-          prior_op = o;
-          prior_acc = true;
-          break;
-        }
-      }
-    }
-    if (prior_kind == nullptr) continue;
+    AccessHit hit;
+    if (!s.set.conflict(a.kind, a.op, a.lo, a.hi, &hit)) continue;
+    const bool prior_acc = hit.kind == AccessHit::Kind::acc;
+    const char* prior_kind = prior_acc ? "accumulate on"
+                             : hit.kind == AccessHit::Kind::write ? "put to"
+                                                                  : "get of";
     const bool prior_dead =
         dead_[static_cast<std::size_t>(s.world_origin)] != 0;
     HbRace cls;
@@ -366,18 +327,18 @@ void HbChecker::check(const TargetRec& t, std::uint64_t space, int target,
       cls = HbRace::dead_origin;
     else if (a.direct || s.any_direct)
       cls = HbRace::shm;
-    else if (prior_acc || is_acc_class(a.kind))
+    else if (prior_acc || acc_class(a.kind))
       cls = HbRace::acc_mix;
-    else if (a.kind == OpKind::put && prior_write)
+    else if (a.kind == OpKind::put && hit.kind == AccessHit::Kind::write)
       cls = HbRace::ww;
     else
       cls = HbRace::rw;
     std::string msg =
         what() + " races with " + rank_desc(s.world_origin) +
-        "'s " + prior_kind + " " + byte_range(olo, ohi) + " (epoch #" +
+        "'s " + prior_kind + " " + byte_range(hit.lo, hit.hi) + " (epoch #" +
         std::to_string(s.id) + ", published at " + s.how +
         scope_suffix(s.scope) + ")";
-    if (prior_acc) msg += " [op " + std::string(op_name(prior_op)) + "]";
+    if (prior_acc) msg += " [op " + std::string(op_name(hit.op)) + "]";
     if (prior_dead)
       msg += "; missing edge: the origin died and no failure_ack/agree/"
              "shrink recovery edge precedes this access";
@@ -503,22 +464,11 @@ void HbChecker::publish(TargetRec& t, int world_origin, const char* how) {
     }
     s.origin = pit->origin;
     if (pit->scope != nullptr) s.scope = pit->scope;
-    switch (pit->kind) {
-      case OpKind::get:
-        s.reads.insert_coalesce(pit->lo, pit->hi);
-        break;
-      case OpKind::put:
-        s.writes.insert_coalesce(pit->lo, pit->hi);
-        break;
-      case OpKind::acc:
-      case OpKind::get_acc:
-        s.accs[pit->op].insert_coalesce(pit->lo, pit->hi);
-        break;
-    }
+    s.set.tree(pit->kind, pit->op).insert_coalesce(pit->lo, pit->hi);
     --intervals_;
     pit = t.pending.erase(pit);
   }
-  intervals_ += s.interval_count();
+  intervals_ += s.set.size();
   t.summaries.push_back(std::move(s));
   bound_memory(t, world_origin);
 }
@@ -534,18 +484,7 @@ void HbChecker::publish_one(TargetRec& t, const Pending& a,
   s.how = how;
   s.scope = a.scope;
   s.vc = clocks_[static_cast<std::size_t>(a.world_origin)];
-  switch (a.kind) {
-    case OpKind::get:
-      s.reads.insert_coalesce(a.lo, a.hi);
-      break;
-    case OpKind::put:
-      s.writes.insert_coalesce(a.lo, a.hi);
-      break;
-    case OpKind::acc:
-    case OpKind::get_acc:
-      s.accs[a.op].insert_coalesce(a.lo, a.hi);
-      break;
-  }
+  s.set.tree(a.kind, a.op).insert_coalesce(a.lo, a.hi);
   // Drop the pending entry that produced this summary (if still queued).
   for (auto pit = t.pending.begin(); pit != t.pending.end(); ++pit) {
     if (pit->direct == a.direct && pit->world_origin == a.world_origin &&
@@ -555,7 +494,7 @@ void HbChecker::publish_one(TargetRec& t, const Pending& a,
       break;
     }
   }
-  intervals_ += s.interval_count();
+  intervals_ += s.set.size();
   t.summaries.push_back(std::move(s));
   bound_memory(t, a.world_origin);
 }
@@ -573,7 +512,7 @@ void HbChecker::bound_memory(TargetRec& t, int world_origin) {
         acquired = ordered(it->vc, r);
       }
       if (acquired) {
-        intervals_ -= it->interval_count();
+        intervals_ -= it->set.size();
         it = t.summaries.erase(it);
       } else {
         ++it;
@@ -593,27 +532,16 @@ void HbChecker::bound_memory(TargetRec& t, int world_origin) {
           ++jt;
           continue;
         }
-        intervals_ -= it->interval_count() + jt->interval_count();
+        intervals_ -= it->set.size() + jt->set.size();
         for (std::size_t i = 0;
              i < it->vc.size() && i < jt->vc.size(); ++i)
           it->vc[i] = std::min(it->vc[i], jt->vc[i]);
-        ConflictTree* into_r = &it->reads;
-        ConflictTree* into_w = &it->writes;
-        jt->reads.visit([into_r](std::uintptr_t lo, std::uintptr_t hi) {
-          into_r->insert_coalesce(lo, hi);
-        });
-        jt->writes.visit([into_w](std::uintptr_t lo, std::uintptr_t hi) {
-          into_w->insert_coalesce(lo, hi);
-        });
-        for (auto& [o, tree] : jt->accs) {
-          ConflictTree* into_a = &it->accs[o];
-          tree.visit([into_a](std::uintptr_t lo, std::uintptr_t hi) {
-            into_a->insert_coalesce(lo, hi);
-          });
-        }
+        absorb(it->set.reads, jt->set.reads);
+        absorb(it->set.writes, jt->set.writes);
+        for (auto& [o, tree] : jt->set.accs) absorb(it->set.accs[o], tree);
         it->any_direct = it->any_direct || jt->any_direct;
         it->how = "merged publications";
-        intervals_ += it->interval_count();
+        intervals_ += it->set.size();
         jt = t.summaries.erase(jt);
       }
     }
@@ -623,7 +551,7 @@ void HbChecker::bound_memory(TargetRec& t, int world_origin) {
   if (max_intervals_ == 0) return;
   auto& overflow = per_rank_[static_cast<std::size_t>(world_origin)].overflow;
   while (intervals_ > max_intervals_ && !t.summaries.empty()) {
-    intervals_ -= t.summaries.front().interval_count();
+    intervals_ -= t.summaries.front().set.size();
     t.summaries.pop_front();
     overflow.fetch_add(1, std::memory_order_relaxed);
   }
@@ -631,7 +559,7 @@ void HbChecker::bound_memory(TargetRec& t, int world_origin) {
   for (auto& [key, other] : spaces_) {
     (void)key;
     while (intervals_ > max_intervals_ && !other.summaries.empty()) {
-      intervals_ -= other.summaries.front().interval_count();
+      intervals_ -= other.summaries.front().set.size();
       other.summaries.pop_front();
       overflow.fetch_add(1, std::memory_order_relaxed);
     }

@@ -35,12 +35,14 @@
 /// (space = window id, or a synthetic id for the native backend's
 /// window-less memory): in-flight accesses stay *pending* from issue until
 /// their epoch publishes them (unlock / flush / access-guard end), then
-/// become *summaries* stamped with the publisher's clock. A new access races
-/// with (a) any other-origin pending access that conflicts under the MPI
-/// accumulate-aware rules -- no ordering can exist before the publication
-/// point, the missing flush IS the edge -- and (b) any conflicting summary
-/// whose clock the accessor has not acquired. Races raise Errc::rma_race at
-/// the issuing operation with both access sites and the missing edge named.
+/// become *summaries* stamped with the publisher's clock (an AccessSet, the
+/// epoch checker's interval store). A new access races with (a) any
+/// other-origin pending access that conflicts under the MPI rule
+/// (accesses_conflict, shared with the epoch checker) -- no ordering can
+/// exist before the publication point, the missing flush IS the edge -- and
+/// (b) any conflicting summary whose clock the accessor has not acquired.
+/// Races raise Errc::rma_race at the issuing operation with both access
+/// sites and the missing edge named.
 ///
 /// Memory is bounded three ways (Config::rma_check_max_intervals):
 /// summaries every live peer has already acquired are pruned exactly;
@@ -64,7 +66,6 @@
 #include <vector>
 
 #include "src/mpisim/checker.hpp"
-#include "src/mpisim/conflict_tree.hpp"
 #include "src/mpisim/op.hpp"
 
 namespace mpisim {
@@ -285,11 +286,7 @@ class HbChecker {
     const char* how = nullptr;  ///< "unlock", "flush", "access-end", ...
     const char* scope = nullptr;
     HbClock vc;
-    ConflictTree reads;
-    ConflictTree writes;
-    std::map<Op, ConflictTree> accs;
-
-    std::size_t interval_count() const noexcept;
+    AccessSet set;
   };
 
   /// Target-side lock slot: the release clocks later grants acquire.

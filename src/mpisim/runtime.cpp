@@ -62,8 +62,8 @@ SimCore::SimCore(const Config& cfg)
     : cfg_(cfg),
       prof_(platform_profile(cfg.platform)),
       model_(prof_, cfg.ranks_per_node),
-      checker_(effective_rma_check(cfg), cfg.check_conflicts, cfg.nranks),
-      hb_(effective_rma_check(cfg) == RmaCheck::race, cfg.nranks,
+      checker_(effective_rma_check(cfg), cfg.nranks),
+      hb_(checker_.mode() == RmaCheck::race, cfg.nranks,
           cfg.rma_check_max_intervals),
       mailboxes_(static_cast<std::size_t>(cfg.nranks)) {
   if (cfg.nranks < 1) raise(Errc::invalid_argument, "nranks < 1");

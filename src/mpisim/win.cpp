@@ -771,10 +771,8 @@ void Win::rma_op(OpKind kind, const void* origin, std::size_t origin_count,
   // Each checker records and checks the op's target segments in order, so
   // conflicts *within* one operation (e.g. a put datatype that writes the
   // same bytes twice) are caught too: earlier segments of this op are
-  // already recorded when later segments are checked. With
-  // Config::check_conflicts a conflict raises Errc::conflicting_access
-  // here; in rma_check warn/abort mode it is reported when the epoch
-  // completes.
+  // already recorded when later segments are checked. A conflict is
+  // reported when the epoch completes, not here.
   if (core.checker().enabled() || core.hb().enabled()) {
     const auto chk_kind = kind == OpKind::put   ? RmaChecker::OpKind::put
                           : kind == OpKind::get ? RmaChecker::OpKind::get

@@ -18,8 +18,9 @@
 ///  - Conflicting accesses (put/get overlap, put/put overlap, accumulate
 ///    mixed with put/get, accumulates with different ops on the same
 ///    location) -- whether within one epoch or across concurrent shared
-///    epochs -- are *erroneous* in MPI-2; with Config::check_conflicts the
-///    simulator detects them and raises Errc::conflicting_access.
+///    epochs -- are *erroneous* in MPI-2; the RMA validity checker
+///    (checker.hpp, Config::rma_check) detects them and, by default, raises
+///    Errc::rma_conflict when the epoch completes.
 ///  - Operations complete (locally and remotely) at unlock(); there is no
 ///    separate local-completion event, matching MPI-2.
 ///

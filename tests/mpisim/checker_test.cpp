@@ -2,9 +2,7 @@
 // each MPI-2 conflict class must be detected and classified, abort mode must
 // raise Errc::rma_conflict at the epoch boundary, warn mode must count and
 // complete, and the lock-state fixes must raise classified errors instead of
-// indexing out of range. Config::check_conflicts is off throughout so the
-// deferred reporting path (rather than the legacy issue-time raise) is what
-// the assertions exercise.
+// indexing out of range.
 
 #include "src/mpisim/checker.hpp"
 
@@ -25,7 +23,6 @@ Config abort_cfg(int nranks) {
   Config cfg;
   cfg.nranks = nranks;
   cfg.platform = Platform::ideal;
-  cfg.check_conflicts = false;
   cfg.rma_check = RmaCheck::abort;
   return cfg;
 }
@@ -43,6 +40,32 @@ std::string expect_conflict(Fn&& fn) {
   }
   ADD_FAILURE() << "expected Errc::rma_conflict";
   return {};
+}
+
+// MPISIM_RMA_CHECK=off turns every epoch rule off under the default
+// config: a same-epoch put/put overlap completes and is not counted.
+TEST(CheckerTest, EnvOffDisablesConflictDetection) {
+  ASSERT_EQ(setenv("MPISIM_RMA_CHECK", "off", 1), 0);
+  Config cfg;
+  cfg.nranks = 2;
+  cfg.platform = Platform::ideal;
+  run(cfg, [] {
+    EXPECT_FALSE(ctx().core().checker().enabled());
+    std::vector<double> mem(8, 0.0);
+    Win win = Win::create(mem.data(), mem.size() * sizeof(double), world());
+    world().barrier();
+    if (rank() == 0) {
+      const double v[4] = {1.0, 2.0, 3.0, 4.0};
+      win.lock(LockType::exclusive, 1);
+      win.put(v, 2 * sizeof(double), 1, 0);
+      win.put(v, 2 * sizeof(double), 1, sizeof(double));  // overlaps [8, 16)
+      win.unlock(1);
+      EXPECT_EQ(my_counts().total(), 0u);
+    }
+    world().barrier();
+    win.free();
+  });
+  unsetenv("MPISIM_RMA_CHECK");
 }
 
 TEST(CheckerTest, SharedLockPutPutOverlapAborts) {
@@ -530,7 +553,7 @@ std::string raised(Fn&& fn) {
 }
 
 TEST(CheckerGolden, SameOrigin) {
-  RmaChecker chk(RmaCheck::abort, false, 2);
+  RmaChecker chk(RmaCheck::abort, 2);
   chk.epoch_opened(3, 1, 0, /*exclusive=*/true);
   chk.record_op(3, 1, 0, 0, Kind::put, Op::replace, 0, 16, "ga.put");
   chk.record_op(3, 1, 0, 0, Kind::put, Op::replace, 8, 24, "ga.put");
@@ -542,7 +565,7 @@ TEST(CheckerGolden, SameOrigin) {
 }
 
 TEST(CheckerGolden, ConcurrentAgainstOpenEpoch) {
-  RmaChecker chk(RmaCheck::abort, false, 2);
+  RmaChecker chk(RmaCheck::abort, 2);
   chk.epoch_opened(3, 0, 0, false);
   chk.epoch_opened(3, 0, 1, false);
   chk.record_op(3, 0, 0, 0, Kind::get, Op::sum, 0, 8, "armci.get");
@@ -556,7 +579,7 @@ TEST(CheckerGolden, ConcurrentAgainstOpenEpoch) {
 }
 
 TEST(CheckerGolden, ConcurrentAgainstClosedGhostEpoch) {
-  RmaChecker chk(RmaCheck::abort, false, 2);
+  RmaChecker chk(RmaCheck::abort, 2);
   chk.epoch_opened(3, 0, 0, false);
   chk.epoch_opened(3, 0, 1, false);
   chk.record_op(3, 0, 0, 0, Kind::put, Op::replace, 16, 32, "armci.put");
@@ -571,7 +594,7 @@ TEST(CheckerGolden, ConcurrentAgainstClosedGhostEpoch) {
 }
 
 TEST(CheckerGolden, AccMix) {
-  RmaChecker chk(RmaCheck::abort, false, 2);
+  RmaChecker chk(RmaCheck::abort, 2);
   chk.epoch_opened(3, 0, 0, false);
   chk.epoch_opened(3, 0, 1, false);
   chk.record_op(3, 0, 0, 0, Kind::acc, Op::sum, 0, 16, nullptr);
@@ -586,7 +609,7 @@ TEST(CheckerGolden, AccMix) {
 }
 
 TEST(CheckerGolden, DirectLocalAccess) {
-  RmaChecker chk(RmaCheck::abort, false, 2);
+  RmaChecker chk(RmaCheck::abort, 2);
   chk.epoch_opened(3, 0, 1, false);
   chk.record_op(3, 0, 1, 1, Kind::put, Op::replace, 0, 16, "armci.put");
   // The owner's undisciplined store, checked against the open epoch...
@@ -608,7 +631,7 @@ TEST(CheckerGolden, DirectLocalAccess) {
 }
 
 TEST(CheckerGolden, DirectLocalAccessAgainstGhostEpoch) {
-  RmaChecker chk(RmaCheck::abort, false, 3);
+  RmaChecker chk(RmaCheck::abort, 3);
   chk.epoch_opened(3, 0, 1, false);
   chk.epoch_opened(3, 0, 2, false);
   chk.record_op(3, 0, 1, 1, Kind::acc, Op::bor, 0, 8, nullptr);
@@ -624,7 +647,7 @@ TEST(CheckerGolden, DirectLocalAccessAgainstGhostEpoch) {
 }
 
 TEST(CheckerGolden, SharedMemoryAccess) {
-  RmaChecker chk(RmaCheck::abort, false, 3);
+  RmaChecker chk(RmaCheck::abort, 3);
   chk.epoch_opened(3, 1, 0, false);
   chk.record_op(3, 1, 0, 0, Kind::put, Op::replace, 0, 12, "armci.put");
   // A co-located rank's direct accumulate into the in-flight put's bytes...
@@ -659,22 +682,75 @@ TEST(CheckerGolden, SharedMemoryAccess) {
   chk.shm_end(3, 1, 2, 64);
 }
 
-// Config::check_conflicts: the same text, raised at the issuing operation.
-TEST(CheckerGolden, ImmediateModeRaisesAtTheOperation) {
-  RmaChecker chk(RmaCheck::off, /*immediate=*/true, 2);
+// The issuing operation only records and counts; the same text is raised
+// when the epoch completes.
+TEST(CheckerGolden, AccOverGetRaisesAtEpochClosing) {
+  RmaChecker chk(RmaCheck::abort, 2);
   chk.epoch_opened(3, 1, 0, /*exclusive=*/false);
   chk.record_op(3, 1, 0, 0, Kind::get, Op::sum, 0, 8, nullptr);
-  try {
-    chk.record_op(3, 1, 0, 0, Kind::acc, Op::sum, 4, 12, "armci.acc");
-    ADD_FAILURE() << "expected Errc::conflicting_access";
-  } catch (const MpiError& e) {
-    EXPECT_EQ(e.code(), Errc::conflicting_access) << e.what();
-    EXPECT_EQ(std::string(e.what()),
-              "[conflicting_access] mpisim: accumulate on bytes [4, 12) of "
-              "rank 1 (win 3, epoch #1 by origin 0, in armci.acc) conflicts "
-              "with a get of bytes [0, 8) recorded earlier in the same epoch");
-  }
+  chk.record_op(3, 1, 0, 0, Kind::acc, Op::sum, 4, 12, "armci.acc");
   EXPECT_EQ(chk.counts(0).acc_mix, 1u);
+  EXPECT_EQ(raised([&] { chk.epoch_closing(3, 1, 0); }),
+            "[rma_conflict] mpisim: accumulate on bytes [4, 12) of rank 1 "
+            "(win 3, epoch #1 by origin 0, in armci.acc) conflicts with a get "
+            "of bytes [0, 8) recorded earlier in the same epoch");
+}
+
+// The one MPI-2 conflict rule, asked both ways: through the shared access
+// set's tree query (both checkers' recorded coverage) and through the
+// pairwise predicate (the race detector's in-flight accesses). Only get/get,
+// same-operator accumulates, and get_accumulate(no_op) against any
+// accumulate may overlap (EXPERIMENTS.md, RMA validity checking).
+TEST(AccessSetTest, ConflictRuleMatchesTheMpi2Table) {
+  struct Access {
+    AccessKind kind;
+    Op op;
+    const char* name;
+  };
+  const Access accesses[] = {
+      {AccessKind::put, Op::replace, "put"},
+      {AccessKind::get, Op::replace, "get"},
+      {AccessKind::acc, Op::sum, "acc(sum)"},
+      {AccessKind::acc, Op::prod, "acc(prod)"},
+      {AccessKind::get_acc, Op::sum, "get_acc(sum)"},
+      {AccessKind::get_acc, Op::no_op, "get_acc(no_op)"},
+  };
+  // Row: the recorded access; column: the later one. 1 = conflict.
+  constexpr int kConflict[6][6] = {
+      {1, 1, 1, 1, 1, 1},  // put
+      {1, 0, 1, 1, 1, 1},  // get
+      {1, 1, 0, 1, 0, 0},  // acc(sum)
+      {1, 1, 1, 0, 1, 0},  // acc(prod)
+      {1, 1, 0, 1, 0, 0},  // get_acc(sum)
+      {1, 1, 0, 0, 0, 0},  // get_acc(no_op)
+  };
+  for (std::size_t i = 0; i < 6; ++i) {
+    for (std::size_t j = 0; j < 6; ++j) {
+      const Access& first = accesses[i];
+      const Access& second = accesses[j];
+      const bool expected = kConflict[i][j] != 0;
+      SCOPED_TRACE(std::string(first.name) + " then " + second.name);
+      AccessSet set;
+      set.tree(first.kind, first.op).insert_merge(0, 7);
+      AccessHit hit;
+      EXPECT_EQ(set.conflict(second.kind, second.op, 4, 11, &hit), expected);
+      EXPECT_EQ(accesses_conflict(first.kind, first.op, second.kind,
+                                  second.op),
+                expected);
+      if (expected) {
+        const AccessHit::Kind tree = first.kind == AccessKind::get
+                                         ? AccessHit::Kind::read
+                                     : first.kind == AccessKind::put
+                                         ? AccessHit::Kind::write
+                                         : AccessHit::Kind::acc;
+        EXPECT_EQ(hit.kind, tree);
+        if (tree == AccessHit::Kind::acc) EXPECT_EQ(hit.op, first.op);
+        EXPECT_EQ(hit.lo, 0u);
+        EXPECT_EQ(hit.hi, 7u);
+      }
+      EXPECT_FALSE(set.conflict(second.kind, second.op, 8, 15, &hit));
+    }
+  }
 }
 
 // Through the window layer: a 2-D strided put overlapping an earlier one in

@@ -31,7 +31,6 @@ Config race_cfg(int nranks) {
   Config cfg;
   cfg.nranks = nranks;
   cfg.platform = Platform::ideal;
-  cfg.check_conflicts = false;
   cfg.rma_check = RmaCheck::race;
   return cfg;
 }
@@ -97,11 +96,20 @@ TEST(HbTest, UnknownEnvValueFallsBackToOff) {
   ASSERT_EQ(setenv("MPISIM_RMA_CHECK", "frobnicate", 1), 0);
   Config cfg = race_cfg(1);
   cfg.rma_check = RmaCheck::abort;  // the bad env value must not silently win
+  testing::internal::CaptureStderr();
   run(cfg, [] {
     EXPECT_EQ(ctx().core().checker().mode(), RmaCheck::off);
     EXPECT_FALSE(ctx().core().hb().enabled());
   });
+  const std::string err = testing::internal::GetCapturedStderr();
   unsetenv("MPISIM_RMA_CHECK");
+  // The mode is resolved once per run, so the typo is reported once.
+  std::size_t warnings = 0;
+  for (std::size_t at = err.find("unknown MPISIM_RMA_CHECK value");
+       at != std::string::npos;
+       at = err.find("unknown MPISIM_RMA_CHECK value", at + 1))
+    ++warnings;
+  EXPECT_EQ(warnings, 1u) << err;
 }
 
 // Class ww, pending tier: two shared (lock_all) origins put to overlapping
