@@ -277,7 +277,7 @@ bool serve_one(AmState& am, armci::ProcState& st) {
         r.vc = core.hb().send_snapshot(core.hb().persona(me.rank()));
       }
       core.mailbox(m.src_comm_rank).push(std::move(r));
-      core.poke();
+      core.poke(m.src_comm_rank);
     }
   }
   if (core.hb().enabled()) {
@@ -591,7 +591,7 @@ void poll_wait(const std::function<bool()>& pred) {
                        core.mailbox(me.rank())
                            .has_match(cid, mpisim::kAnySource, kReqTag);
               },
-              "am.poll_wait");
+              "am.poll_wait", mpisim::SimCore::WakeOn::any);
   }
 }
 

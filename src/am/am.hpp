@@ -153,7 +153,9 @@ void quiesce(int gce = 0);
 /// rank waiting on handler-updated local state, a phase fence). \p pred is
 /// evaluated with the simulator lock held: it may read rank-local state a
 /// handler updates and _locked simulator accessors, and must not block,
-/// send, or serve itself.
+/// send, or serve itself. Since \p pred is opaque to the simulator, it is
+/// re-evaluated after every state change any rank announces, not only
+/// those addressed to the caller (SimCore::WakeOn::any).
 void poll_wait(const std::function<bool()>& pred);
 
 /// Serving barrier over the live world ranks: returns once every live rank

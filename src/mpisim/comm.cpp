@@ -43,7 +43,7 @@ void system_send(SimCore& core, int dest_world, int tag,
   core.note_time_locked(me.clock().now_ns());
   if (core.hb().enabled()) m.vc = core.hb().send_snapshot(me.rank());
   core.mailbox(dest_world).push(std::move(m));
-  core.poke();
+  core.poke(dest_world);
 }
 
 std::vector<std::uint8_t> system_recv(SimCore& core, int src_world, int tag) {
@@ -149,7 +149,7 @@ void Comm::send(const void* buf, std::size_t bytes, int dest, int tag) const {
   core.note_time_locked(me.clock().now_ns());
   if (core.hb().enabled()) m.vc = core.hb().send_snapshot(me.rank());
   mb.push(std::move(m));
-  core.poke();
+  core.poke(dest_world);  // only the destination's receives can match it
 }
 
 Status Comm::recv(void* buf, std::size_t capacity, int src, int tag) const {

@@ -18,8 +18,14 @@ struct PacerImpl {
   // Generation barrier for enter(): a fast rank may pace and leave() again
   // before slow ranks observe the rendezvous, so "everyone active" is not
   // a stable predicate -- the generation count is.
-  int arrived = 0;
+  std::vector<bool> arrived;  // per member: entered this generation
   std::uint64_t generation = 0;
+
+  /// Survivable mode: a dead member can neither arrive nor advance its
+  /// clock, so every pacing decision treats it as having left.
+  bool dead(SimCore& core, std::size_t r) const {
+    return core.is_dead_locked(comm.group().world_rank(static_cast<int>(r)));
+  }
 };
 
 }  // namespace detail
@@ -36,6 +42,7 @@ Pacer Pacer::create(const Comm& comm) {
     mk->comm = comm;
     mk->clocks.assign(static_cast<std::size_t>(comm.size()), 0.0);
     mk->active.assign(static_cast<std::size_t>(comm.size()), false);
+    mk->arrived.assign(static_cast<std::size_t>(comm.size()), false);
     std::lock_guard lk(core.mu());
     key = SimCore::kPacerPublishTag | core.alloc_obj_key_locked();
     // Core-owned rendezvous slot: survives an abort mid-create without
@@ -60,14 +67,21 @@ void Pacer::enter() {
   p.clocks[me] = ctx().clock().now_ns();
   // Rendezvous: without it, a host-fast thread would see only itself
   // active, consider itself the minimum, and race ahead of the region.
+  p.arrived[me] = true;
   const std::uint64_t my_gen = p.generation;
-  if (++p.arrived == p.comm.size()) {
-    p.arrived = 0;
+  // Open the next generation once every live member has arrived; a member
+  // that dies before arriving is excused (its death pokes the waiters).
+  const auto try_open_locked = [&] {
+    for (std::size_t r = 0; r < p.arrived.size(); ++r)
+      if (!p.arrived[r] && !p.dead(core, r)) return false;
+    p.arrived.assign(p.arrived.size(), false);
     ++p.generation;
     core.poke();
-  } else {
-    core.wait(lk, [&] { return p.generation != my_gen; }, "pacer.enter");
-  }
+    return true;
+  };
+  if (try_open_locked()) return;
+  core.wait(lk, [&] { return p.generation != my_gen || try_open_locked(); },
+            "pacer.enter");
 }
 
 void Pacer::pace(double window_ns) {
@@ -84,7 +98,8 @@ void Pacer::pace(double window_ns) {
   core.wait(lk, [&] {
     double min_clock = std::numeric_limits<double>::infinity();
     for (std::size_t r = 0; r < p.clocks.size(); ++r)
-      if (p.active[r]) min_clock = std::min(min_clock, p.clocks[r]);
+      if (p.active[r] && !p.dead(core, r))
+        min_clock = std::min(min_clock, p.clocks[r]);
     return p.clocks[me] <= min_clock + window_ns;
   }, "pacer.pace");
 }

@@ -2,8 +2,12 @@
 
 #include <limits.h>
 #include <pthread.h>
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 
@@ -65,11 +69,10 @@ SimCore::SimCore(const Config& cfg)
       checker_(effective_rma_check(cfg), cfg.nranks),
       hb_(checker_.mode() == RmaCheck::race, cfg.nranks,
           cfg.rma_check_max_intervals),
+      slots_(static_cast<std::size_t>(cfg.nranks)),
       mailboxes_(static_cast<std::size_t>(cfg.nranks)) {
   if (cfg.nranks < 1) raise(Errc::invalid_argument, "nranks < 1");
   running_ = cfg.nranks;
-  in_wait_.assign(static_cast<std::size_t>(cfg.nranks), 0);
-  pred_seen_gen_.assign(static_cast<std::size_t>(cfg.nranks), 0);
   dead_.assign(static_cast<std::size_t>(cfg.nranks), 0);
   death_ns_.assign(static_cast<std::size_t>(cfg.nranks), 0.0);
   ranks_.reserve(static_cast<std::size_t>(cfg.nranks));
@@ -87,41 +90,64 @@ void SimCore::abort(std::exception_ptr err) noexcept {
     aborted_ = true;
     first_error_ = err;
   }
-  cv_.notify_all();
+  notify_all_locked();
 }
 
-double SimCore::wait_enter_locked() noexcept {
+void SimCore::poke_slot(WakeSlot& s) noexcept {
+  s.poked = true;
+  if (s.waiting) s.cv.notify_one();
+}
+
+void SimCore::poke() noexcept {
+  for (WakeSlot& s : slots_) poke_slot(s);
+}
+
+void SimCore::poke(int world_rank) noexcept {
+  poke_slot(slots_[static_cast<std::size_t>(world_rank)]);
+  for (WakeSlot& s : slots_)
+    if (s.any) poke_slot(s);
+}
+
+void SimCore::notify_all_locked() noexcept {
+  for (WakeSlot& s : slots_)
+    if (s.waiting) s.cv.notify_one();
+}
+
+double SimCore::wait_enter_locked(WakeOn wake_on) {
+  require_internal(t_ctx != nullptr, "SimCore::wait outside a rank thread");
+  WakeSlot& s = slots_[static_cast<std::size_t>(t_ctx->rank())];
+  s.waiting = true;
+  s.any = wake_on == WakeOn::any || cfg_.wait_deadline_ns > 0.0;
   ++blocked_;
-  if (t_ctx != nullptr) {
-    in_wait_[static_cast<std::size_t>(t_ctx->rank())] = 1;
-  } else {
-    // A waiter outside any rank thread cannot be generation-tracked;
-    // quiescent_locked() refuses to declare deadlock while one exists.
-    ++anon_waiters_;
-  }
-  const double now = t_ctx != nullptr ? t_ctx->clock().now_ns() : latest_ns_;
+  const double now = t_ctx->clock().now_ns();
   note_time_locked(now);
   return now;
 }
 
 void SimCore::wait_exit_locked() noexcept {
+  WakeSlot& s = slots_[static_cast<std::size_t>(t_ctx->rank())];
+  s.waiting = false;
+  s.any = false;
   --blocked_;
-  if (t_ctx != nullptr)
-    in_wait_[static_cast<std::size_t>(t_ctx->rank())] = 0;
-  else
-    --anon_waiters_;
 }
 
-void SimCore::mark_pred_unsatisfied_locked() noexcept {
-  if (t_ctx != nullptr)
-    pred_seen_gen_[static_cast<std::size_t>(t_ctx->rank())] = progress_gen_;
+void SimCore::consume_poke_locked() noexcept {
+  slots_[static_cast<std::size_t>(t_ctx->rank())].poked = false;
 }
 
 bool SimCore::quiescent_locked() const noexcept {
-  if (running_ <= 0 || blocked_ != running_ || anon_waiters_ > 0) return false;
-  for (std::size_t r = 0; r < in_wait_.size(); ++r)
-    if (in_wait_[r] != 0 && pred_seen_gen_[r] != progress_gen_) return false;
+  if (running_ <= 0 || blocked_ != running_) return false;
+  for (const WakeSlot& s : slots_)
+    if (s.waiting && s.poked) return false;
   return true;
+}
+
+bool SimCore::sleep_locked(std::unique_lock<std::mutex>& lk) {
+  WakeSlot& s = slots_[static_cast<std::size_t>(t_ctx->rank())];
+  // The timeout is only a safety net: every relevant transition (poke,
+  // abort, rank exit, deadlock verdict) notifies the slot.
+  const std::cv_status st = s.cv.wait_for(lk, std::chrono::seconds(1));
+  return st == std::cv_status::timeout && !s.poked;
 }
 
 void SimCore::throw_aborted() {
@@ -207,11 +233,11 @@ void SimCore::observe_death_locked(int dead_rank, const char* site) {
 void SimCore::rank_exited() noexcept {
   std::lock_guard lk(mu_);
   --running_;
-  // Wake blocked peers without bumping the progress generation: an exit is
-  // not progress toward any predicate, but survivors must re-evaluate
-  // quiescence (a rank leaving a rendezvous unmatched is how deadlocks
-  // from early exits arise).
-  cv_.notify_all();
+  // Wake blocked peers without poking them: an exit is not progress toward
+  // any predicate, but survivors must re-evaluate quiescence (a rank
+  // leaving a rendezvous unmatched is how deadlocks from early exits
+  // arise).
+  notify_all_locked();
 }
 
 Mailbox& SimCore::mailbox(int r) {
@@ -310,6 +336,23 @@ void* rank_thread_main(void* p) {
 void run(const Config& cfg, const std::function<void()>& rank_main) {
   if (t_ctx != nullptr)
     raise(Errc::invalid_argument, "nested mpisim::run() is not supported");
+#if defined(__GLIBC__)
+  // One malloc arena with fixed thresholds, set once per process. Rank
+  // threads are fresh each run and their heap work is serialized by
+  // SimCore::mu, so per-thread arenas add no parallelism; they only leave
+  // freed global-memory slices resident in several arenas, and peak RSS
+  // creeps up over repeated runs. In the single arena, a fixed mmap
+  // threshold keeps window-sized slices on the heap and a high trim
+  // threshold keeps freed ones resident, so the next run's set-up does not
+  // page-fault them back in.
+  static const bool malloc_tuned = [] {
+    mallopt(M_ARENA_MAX, 1);
+    mallopt(M_MMAP_THRESHOLD, 32 << 20);
+    mallopt(M_TRIM_THRESHOLD, 64 << 20);
+    return true;
+  }();
+  (void)malloc_tuned;
+#endif
   SimCore core(cfg);
 
   pthread_attr_t attr;

@@ -13,17 +13,23 @@
 ///       mpisim::world().barrier();
 ///     });
 ///
-/// Shared simulator state is serialized by a single global mutex (SimCore::mu)
-/// with one condition variable for all blocking operations. This coarse
-/// locking is deliberate: the simulator's performance story is told in
-/// *virtual* time (SimClock + NetworkModel), so host-side scalability of the
-/// simulator itself is irrelevant, while a single lock makes the many
-/// blocking-rendezvous protocols (receives, window locks, collectives)
-/// trivially deadlock- and race-free and lets an aborting rank wake every
+/// Shared simulator state is serialized by a single global mutex (SimCore::mu).
+/// This coarse locking is deliberate: the simulator's performance story is
+/// told in *virtual* time (SimClock + NetworkModel), while a single lock
+/// makes the many blocking-rendezvous protocols (receives, window locks,
+/// collectives) trivially race-free and lets an aborting rank wake every
 /// blocked peer.
+///
+/// Blocking is per rank: each rank owns a wake slot (a condition variable
+/// and a "poked" flag) and SimCore::wait() sleeps on the caller's own slot.
+/// The wake rule is that a mutation pokes the ranks whose wait it can
+/// satisfy -- poke(r) for a message pushed into r's mailbox or a window lock
+/// granted to r -- and calls the broadcast poke() when it cannot tell
+/// (collective completion, publication, revocation, death). A rank parked in
+/// a lock queue or a Pacer region therefore sleeps through other ranks'
+/// epochs and messages instead of waking for each one.
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <exception>
@@ -175,37 +181,51 @@ class SimCore {
 
   /// The global lock guarding all shared simulator state.
   std::mutex& mu() noexcept { return mu_; }
-  /// Notified on every state change; all blocking waits use wait().
-  std::condition_variable& cv() noexcept { return cv_; }
 
-  /// Announce a state change that can satisfy a blocked rank's predicate:
-  /// bumps the progress generation (so the deadlock detector knows work
-  /// happened) and wakes every waiter. Caller must hold mu(). All mutation
-  /// sites (mailbox push, lock grant, collective completion, ...) must use
-  /// this instead of cv().notify_all(), or quiescence detection would
-  /// miscount them as deadlock.
-  void poke() noexcept {
-    ++progress_gen_;
-    cv_.notify_all();
-  }
+  /// Announce a state change that can satisfy some blocked rank's wait
+  /// predicate, when the caller cannot tell whose: pokes every rank's wake
+  /// slot. Caller must hold mu(). Every mutation a wait predicate reads
+  /// must poke the ranks it can satisfy -- this, or poke(int) when exactly
+  /// one rank can observe it -- or that rank sleeps until the 1 s safety
+  /// net (counted by lost_wakeups()) and quiescence detection would
+  /// miscount it as deadlock.
+  void poke() noexcept;
 
-  /// Block until \p pred() holds, waking on any state change. Raises
-  /// Errc::aborted if another rank failed meanwhile, and Errc::wait_timeout
-  /// when every live rank is blocked (deadlock) or when the virtual-time
-  /// deadline (Config::wait_deadline_ns) expires first. \p lk must hold
-  /// mu(); \p site names the wait in diagnostics.
+  /// Announce a state change only world rank \p world_rank can observe (a
+  /// message pushed into its mailbox, a window lock granted to it): pokes
+  /// that rank's slot, plus every waiter that takes all pokes
+  /// (WakeOn::any). Caller must hold mu().
+  void poke(int world_rank) noexcept;
+
+  /// Which pokes wake a wait(): the ones addressed to the waiter (poke(r)
+  /// for its rank and every poke()), or every poke at all -- for an opaque
+  /// predicate whose inputs the caller cannot attribute to one rank. A
+  /// wait under a virtual-time deadline (Config::wait_deadline_ns) always
+  /// takes every poke: any rank's progress can expire it.
+  enum class WakeOn { addressed, any };
+
+  /// Block until \p pred() holds, sleeping on the calling rank's own wake
+  /// slot and re-evaluating \p pred after each poke that reaches it (see
+  /// WakeOn). Raises Errc::aborted if another rank failed meanwhile, and
+  /// Errc::wait_timeout when every live rank is blocked (deadlock) or when
+  /// the virtual-time deadline (Config::wait_deadline_ns) expires first.
+  /// \p lk must hold mu(); \p site names the wait in diagnostics. Only
+  /// rank threads may wait.
   template <typename Pred>
   void wait(std::unique_lock<std::mutex>& lk, Pred pred,
-            const char* site = "blocking wait") {
+            const char* site = "blocking wait",
+            WakeOn wake_on = WakeOn::addressed) {
     if (aborted_) throw_aborted();
     if (pred()) return;
-    const double t0 = wait_enter_locked();
+    const double t0 = wait_enter_locked(wake_on);
+    bool unpoked_timeout = false;
     for (;;) {
       if (aborted_) {
         wait_exit_locked();
         throw_aborted();
       }
       if (pred()) {
+        if (unpoked_timeout) ++lost_wakeups_;
         wait_exit_locked();
         return;
       }
@@ -218,28 +238,30 @@ class SimCore {
         wait_exit_locked();
         throw_wait_timeout(site, /*deadlock=*/false, t0);
       }
-      // We just evaluated our predicate as false against the current state;
-      // stamp that with the progress generation. Quiescence is certain --
-      // not merely suspected -- once every live rank is blocked AND has
-      // re-evaluated its predicate since the last poke(): all state
-      // mutations run under mu() on a live rank and announce themselves via
-      // poke(), so no predicate can ever become true again. A peer that was
-      // poked but has not rescheduled yet still carries a stale stamp,
-      // which defers the verdict until it actually re-evaluates; detection
-      // is therefore immune to host-scheduling stalls (and needs no
-      // heuristic grace period).
-      mark_pred_unsatisfied_locked();
+      // We just evaluated our predicate as false against the current state,
+      // so every poke we had received is consumed. Quiescence is certain --
+      // not merely suspected -- once every live rank is blocked AND none
+      // holds an unconsumed poke: all state mutations run under mu() on a
+      // live rank and poke each rank they can satisfy, so no predicate can
+      // ever become true again. A peer that was poked but has not
+      // rescheduled yet still holds its poke, which defers the verdict
+      // until it actually re-evaluates; detection is therefore immune to
+      // host-scheduling stalls (and needs no heuristic grace period).
+      consume_poke_locked();
       if (quiescent_locked()) {
         deadlocked_ = true;
-        cv_.notify_all();
+        notify_all_locked();
         wait_exit_locked();
         throw_wait_timeout(site, /*deadlock=*/true, t0);
       }
-      // The timeout is only a safety net: every relevant transition
-      // (poke, abort, rank exit, deadlock verdict) notifies cv_.
-      cv_.wait_for(lk, std::chrono::seconds(1));
+      unpoked_timeout = sleep_locked(lk);
     }
   }
+
+  /// Waits whose predicate first held after a 1 s safety-net timeout that
+  /// no poke preceded: a mutation site that forgot to poke. 0 in a correct
+  /// run. Lock-free.
+  std::uint64_t lost_wakeups() const noexcept { return lost_wakeups_; }
 
   /// Record the first failure and wake all blocked ranks.
   void abort(std::exception_ptr err) noexcept;
@@ -260,7 +282,7 @@ class SimCore {
   /// the whole run.
   bool survivable() const noexcept { return cfg_.fault.survivable; }
 
-  /// Record that \p rank died at virtual time \p now_ns and wake every
+  /// Record that \p rank died at virtual time \p now_ns and poke every
   /// blocked waiter so failure-aware predicates can observe it. Called by
   /// the victim's FaultInjector before its crash exception unwinds.
   void rank_crashed(int rank, double now_ns) noexcept;
@@ -343,7 +365,7 @@ class SimCore {
 
   /// Publish a communicator impl under \p key for peers to fetch (used by
   /// intercomm construction, where one leader builds the shared state).
-  /// Caller must hold mu() and notify cv() afterwards.
+  /// Caller must hold mu() and poke() afterwards.
   void publish_comm_locked(std::uint64_t key, std::shared_ptr<CommImpl> impl);
 
   /// Block until a peer publishes \p key, then return the shared impl.
@@ -372,17 +394,23 @@ class SimCore {
  private:
   friend void run(const Config&, const std::function<void()>&);
 
-  /// Publish the caller's clock and count it as blocked; returns the wait's
-  /// entry time (deadline reference point). Caller must hold mu().
-  double wait_enter_locked() noexcept;
+  /// Mark the calling rank blocked (its slot waiting, taking every poke
+  /// when \p wake_on is WakeOn::any or a deadline is set) and publish its
+  /// clock; returns the wait's entry time (deadline reference point).
+  /// Caller must hold mu() and be a rank thread.
+  double wait_enter_locked(WakeOn wake_on);
   void wait_exit_locked() noexcept;
-  /// Record that the calling rank evaluated its wait predicate as false at
-  /// the current progress generation. Caller must hold mu().
-  void mark_pred_unsatisfied_locked() noexcept;
-  /// True when every live rank is blocked and has evaluated its predicate
-  /// as false at the current progress generation: a certain deadlock.
-  /// Caller must hold mu().
+  /// The calling rank evaluated its predicate as false: clear its poke.
+  void consume_poke_locked() noexcept;
+  /// True when every live rank is blocked and none holds an unconsumed
+  /// poke: a certain deadlock. Caller must hold mu().
   bool quiescent_locked() const noexcept;
+  /// Sleep on the calling rank's slot until notified or the 1 s safety net
+  /// expires; true when it expired with no poke. Caller holds mu() via \p lk.
+  bool sleep_locked(std::unique_lock<std::mutex>& lk);
+  /// Wake every waiting rank without poking it (abort, rank exit, deadlock
+  /// verdict): they re-check the abort/deadlock flags and quiescence.
+  void notify_all_locked() noexcept;
   [[noreturn]] static void throw_aborted();
   [[noreturn]] void throw_wait_timeout(const char* site, bool deadlock,
                                        double t0_ns) const;
@@ -394,24 +422,30 @@ class SimCore {
   HbChecker hb_;
 
   std::mutex mu_;
-  std::condition_variable cv_;
   std::atomic<bool> aborted_{false};
   std::exception_ptr first_error_;
 
-  // Liveness accounting (all under mu_ except the atomic aborted_ above).
+  /// One rank's blocking state (under mu_).
+  struct WakeSlot {
+    std::condition_variable cv;
+    bool waiting = false;  ///< inside wait()
+    bool poked = false;    ///< poked since its last false predicate
+    bool any = false;      ///< the current wait takes every poke
+  };
+
+  // Liveness accounting (all under mu_ except the atomics).
   int running_ = 0;            ///< rank threads not yet exited
   int blocked_ = 0;            ///< ranks currently inside wait()
-  int anon_waiters_ = 0;       ///< waiters with no rank context (untrackable)
   bool deadlocked_ = false;    ///< sticky: quiescence was detected
-  std::uint64_t progress_gen_ = 0;  ///< bumped by every poke()
+  std::atomic<std::uint64_t> lost_wakeups_{0};  ///< see lost_wakeups()
   double latest_ns_ = 0.0;     ///< high-water published virtual time
   std::vector<std::uint8_t> dead_;  ///< per rank: declared dead? (survivable)
   std::vector<double> death_ns_;    ///< per rank: virtual death time
   std::uint64_t death_epoch_ = 0;   ///< total deaths so far
   int latest_dead_ = -1;            ///< most recently declared dead rank
-  std::vector<std::uint8_t> in_wait_;  ///< per rank: inside wait()?
-  /// Per rank: progress generation at its last false predicate evaluation.
-  std::vector<std::uint64_t> pred_seen_gen_;
+  std::vector<WakeSlot> slots_;     ///< per rank: wake slot
+
+  static void poke_slot(WakeSlot& s) noexcept;
 
   std::vector<std::unique_ptr<RankContext>> ranks_;
   std::vector<Mailbox> mailboxes_;

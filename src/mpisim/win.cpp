@@ -67,10 +67,12 @@ void purge_dead_locked(SimCore& core, WinImpl& w, int target) {
   });
 }
 
-/// Grant as many queued lock requests as compatibility allows (FIFO).
-/// Registers each granted epoch with the RMA checker here -- not after the
-/// waiter's wait() returns -- so a ghost handoff by an epoch closing in
-/// between already sees the new epoch as concurrent.
+/// Grant as many queued lock requests as compatibility allows (FIFO), and
+/// poke each granted origin: a grant is the only change a queued lock
+/// request waits for, so no other rank needs to wake. Registers each
+/// granted epoch with the RMA checker here -- not after the waiter's wait()
+/// returns -- so a ghost handoff by an epoch closing in between already
+/// sees the new epoch as concurrent.
 void grant_locked(SimCore& core, WinImpl& w, int target) {
   if (core.survivable()) purge_dead_locked(core, w, target);
   TargetState& ts = w.targets[static_cast<std::size_t>(target)];
@@ -90,9 +92,11 @@ void grant_locked(SimCore& core, WinImpl& w, int target) {
     ts.open.emplace(origin, ep);
     core.checker().epoch_opened(w.id, target, origin,
                                 type == LockType::exclusive);
-    core.hb().lock_granted(w.id, target, w.comm.group().world_rank(origin),
+    const int origin_world = w.comm.group().world_rank(origin);
+    core.hb().lock_granted(w.id, target, origin_world,
                            type == LockType::exclusive);
     ts.waiters.pop_front();
+    core.poke(origin_world);
   }
 }
 
@@ -373,7 +377,6 @@ void Win::lock(LockType type, int target_rank) const {
   TargetState& ts = w.targets[static_cast<std::size_t>(target_rank)];
   ts.waiters.emplace_back(myrank, type);
   detail::grant_locked(core, w, target_rank);
-  core.poke();
   core.wait(lk,
             [&] {
               if (ts.open.contains(myrank)) return true;
@@ -443,7 +446,6 @@ void Win::unlock(int target_rank) const {
   core.note_time_locked(me.clock().now_ns());
 
   detail::grant_locked(core, w, target_rank);
-  core.poke();
   if (me.tracer().enabled()) {
     ++me.tracer().win(w.id).epochs;
     me.tracer().end(TraceCat::window, "win.unlock", w.id);
@@ -470,7 +472,6 @@ void Win::lock_all() const {
     TargetState& ts = w.targets[static_cast<std::size_t>(t)];
     ts.waiters.emplace_back(myrank, LockType::shared);
     detail::grant_locked(core, w, t);
-    core.poke();
     core.wait(lk, [&] { return ts.open.contains(myrank); }, "win.lock_all");
     // lock_all epochs follow MPI-3 semantics: conflicting accesses have
     // undefined values but are not erroneous, so the checker skips them.
@@ -507,7 +508,6 @@ void Win::unlock_all() const {
   w.locked_target[static_cast<std::size_t>(myrank)] = -1;
   me.clock().advance(core.model().unlock_ns());
   core.note_time_locked(me.clock().now_ns());
-  core.poke();
   if (me.tracer().enabled()) {
     ++me.tracer().win(w.id).epochs;
     me.tracer().end(TraceCat::window, "win.unlock_all", w.id);

@@ -71,6 +71,8 @@ TEST(AmTest, RpcRoundTripEchoesAndCounts) {
     am::barrier();
     am::finalize();
     armci::finalize();
+    mpisim::world().barrier();
+    EXPECT_EQ(mpisim::ctx().core().lost_wakeups(), 0u);
   });
 }
 
@@ -188,6 +190,8 @@ TEST(AmTest, MutualRpcServesWhileWaiting) {
     am::barrier();
     am::finalize();
     armci::finalize();
+    mpisim::world().barrier();
+    EXPECT_EQ(mpisim::ctx().core().lost_wakeups(), 0u);
   });
 }
 

@@ -67,6 +67,8 @@ TEST(CommP2pTest, BasicSendRecv) {
       EXPECT_EQ(st.tag, 7);
       EXPECT_EQ(st.bytes, sizeof v);
     }
+    w.barrier();
+    EXPECT_EQ(ctx().core().lost_wakeups(), 0u);
   });
 }
 
@@ -210,6 +212,8 @@ TEST(CommP2pTest, IrecvTestPollsWithoutBlocking) {
       const int v = 13;
       w.send(&v, sizeof v, 1, 4);
     }
+    w.barrier();
+    EXPECT_EQ(ctx().core().lost_wakeups(), 0u);
   });
 }
 
@@ -335,6 +339,8 @@ TEST(CommCollTest, RepeatedCollectivesDoNotInterfere) {
       w.allreduce(&mine, &sum, 1, BasicType::int64, Op::sum);
       EXPECT_EQ(sum, 6 + 4 * iter);
     }
+    w.barrier();
+    EXPECT_EQ(ctx().core().lost_wakeups(), 0u);
   });
 }
 

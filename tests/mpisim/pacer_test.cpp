@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <mutex>
+#include <optional>
 #include <vector>
 
 #include "src/mpisim/comm.hpp"
@@ -48,6 +50,8 @@ TEST(PacerTest, ClaimsFollowVirtualClocks) {
     }
     p.leave();
     counts[static_cast<std::size_t>(rank())] = mine;
+    world().barrier();
+    EXPECT_EQ(ctx().core().lost_wakeups(), 0u);
   });
   for (int c : counts) EXPECT_EQ(c, 10);
 }
@@ -117,6 +121,54 @@ TEST(PacerTest, ReusableAcrossPhases) {
       world().barrier();
     }
   });
+}
+
+TEST(PacerTest, DeadMemberCountsAsLeft) {
+  // Survivable mode: a rank that dies inside the paced region freezes its
+  // clock. Survivors must treat it as having left -- not wait on it as the
+  // minimum forever (a false "deadlock detected" at pacer.pace) -- and a
+  // later enter() must not wait for it to arrive.
+  constexpr double kTaskNs = 10'000.0;
+  Config cfg;
+  cfg.nranks = 3;
+  cfg.platform = Platform::ideal;
+  cfg.fault.survivable = true;
+  cfg.fault.crashes = {{1, 0.5e6}};
+  std::mutex mu;
+  std::vector<std::optional<Errc>> raised(3);
+  std::vector<int> tasks(3, 0);
+  EXPECT_NO_THROW(run(cfg, [&] {
+    try {
+      Pacer p = Pacer::create(world());
+      for (int phase = 0; phase < 2; ++phase) {
+        p.enter();
+        for (int i = 0; i < 100; ++i) {
+          p.pace();
+          // Stands in for the task's communication: the victim dies here.
+          ctx().fault().fault_point(clock());
+          clock().advance(kTaskNs);
+          ++tasks[static_cast<std::size_t>(rank())];
+        }
+        p.leave();
+      }
+      world().barrier();  // completes over the survivors
+      EXPECT_EQ(ctx().core().lost_wakeups(), 0u);
+    } catch (const MpiError& e) {
+      {
+        std::lock_guard lk(mu);
+        raised[static_cast<std::size_t>(rank())] = e.code();
+      }
+      throw;
+    }
+  }));
+  EXPECT_FALSE(raised[0].has_value());
+  ASSERT_TRUE(raised[1].has_value());
+  EXPECT_EQ(*raised[1], Errc::crashed);
+  EXPECT_FALSE(raised[2].has_value());
+  EXPECT_EQ(tasks[0], 200);
+  EXPECT_GT(tasks[1], 0);  // died mid-loop, at about task 50
+  EXPECT_LT(tasks[1], 100);
+  EXPECT_EQ(tasks[2], 200);
 }
 
 }  // namespace

@@ -26,6 +26,7 @@ TEST(WinMpi3Test, LockAllOpensEpochsEverywhere) {
     win.flush_all();
     win.unlock_all();
     world().barrier();
+    EXPECT_EQ(ctx().core().lost_wakeups(), 0u);
     win.free();
   });
 }

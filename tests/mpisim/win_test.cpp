@@ -367,6 +367,7 @@ TEST(WinSemanticsTest, ExclusiveLocksSerializeConflictingWriters) {
       EXPECT_GE(mem[0], 20);
       EXPECT_LE(mem[0], 160);
     }
+    EXPECT_EQ(ctx().core().lost_wakeups(), 0u);
     win.free();
   });
 }
