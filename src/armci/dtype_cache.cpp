@@ -31,8 +31,9 @@ void DatatypeCache::set_capacity(std::size_t cap) {
   }
 }
 
-mpisim::Datatype DatatypeCache::get_or_build(
-    Key key, Stats& stats, const std::function<mpisim::Datatype()>& build) {
+template <class Build>
+mpisim::Datatype DatatypeCache::get_or_build(Key key, Stats& stats,
+                                             Build&& build) {
   if (capacity_ == 0) return build();
   auto it = index_.find(key);
   if (it != index_.end()) {

@@ -20,7 +20,6 @@
 /// Stats::dt_cache_hits / dt_cache_misses.
 
 #include <cstdint>
-#include <functional>
 #include <list>
 #include <span>
 #include <unordered_map>
@@ -65,9 +64,11 @@ class DatatypeCache {
   };
   using Entry = std::pair<Key, mpisim::Datatype>;
 
-  mpisim::Datatype get_or_build(
-      Key key, Stats& stats,
-      const std::function<mpisim::Datatype()>& build);
+  /// Cached handle for \p key, or build() on a miss. A template so a
+  /// lookup never wraps \p build in an allocating std::function; only
+  /// dtype_cache.cpp instantiates it.
+  template <class Build>
+  mpisim::Datatype get_or_build(Key key, Stats& stats, Build&& build);
 
   std::size_t capacity_ = 64;
   std::list<Entry> lru_;  ///< front = most recently used

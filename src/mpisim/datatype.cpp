@@ -34,38 +34,53 @@ struct TypeImpl {
 
 namespace {
 
-void walk(const TypeImpl& t, std::ptrdiff_t base,
-          const std::function<void(Segment)>& f) {
-  switch (t.kind) {
-    case TypeImpl::Kind::basic:
-      f({base, t.size});
-      return;
-    case TypeImpl::Kind::hvector: {
-      const TypeImpl& c = *t.child;
-      for (std::size_t i = 0; i < t.count; ++i) {
-        std::ptrdiff_t block = base + static_cast<std::ptrdiff_t>(i) * t.stride_bytes;
-        if (c.contig) {
-          f({block, t.blocklen * c.size});
-        } else {
-          for (std::size_t j = 0; j < t.blocklen; ++j)
-            walk(c, block + static_cast<std::ptrdiff_t>(j) * c.extent, f);
-        }
-      }
+/// Merges the runs of a walk before they reach the visitor: a run that
+/// starts where the pending one ends extends it (a zero-length one too),
+/// anything else flushes the pending run.
+template <class Emit>
+struct Coalescer {
+  Emit emit;
+  Segment pending{0, 0};
+  bool have = false;
+
+  void add(Segment s) {
+    if (have && pending.offset + static_cast<std::ptrdiff_t>(pending.length) ==
+                    s.offset) {
+      pending.length += s.length;
       return;
     }
-    case TypeImpl::Kind::hindexed: {
-      const TypeImpl& c = *t.child;
-      for (std::size_t i = 0; i < t.blocklens.size(); ++i) {
-        std::ptrdiff_t block = base + t.displs[i];
-        if (c.contig) {
-          f({block, t.blocklens[i] * c.size});
-        } else {
-          for (std::size_t j = 0; j < t.blocklens[i]; ++j)
-            walk(c, block + static_cast<std::ptrdiff_t>(j) * c.extent, f);
-        }
-      }
+    if (have) emit(pending);
+    pending = s;
+    have = true;
+  }
+  void finish() {
+    if (have) emit(pending);
+  }
+};
+
+/// Hand every contiguous piece of one instance of \p t at \p base to
+/// \p sink. A contiguous subtree is one piece, whatever its element count.
+template <class Sink>
+void walk(const TypeImpl& t, std::ptrdiff_t base, Sink& sink) {
+  if (t.contig) {
+    sink.add({base, t.size});
+    return;
+  }
+  const TypeImpl& c = *t.child;
+  const auto block = [&](std::ptrdiff_t at, std::size_t len) {
+    if (c.contig) {
+      sink.add({at, len * c.size});
       return;
     }
+    for (std::size_t j = 0; j < len; ++j)
+      walk(c, at + static_cast<std::ptrdiff_t>(j) * c.extent, sink);
+  };
+  if (t.kind == TypeImpl::Kind::hvector) {
+    for (std::size_t i = 0; i < t.count; ++i)
+      block(base + static_cast<std::ptrdiff_t>(i) * t.stride_bytes, t.blocklen);
+  } else {
+    for (std::size_t i = 0; i < t.blocklens.size(); ++i)
+      block(base + t.displs[i], t.blocklens[i]);
   }
 }
 
@@ -77,15 +92,23 @@ using detail::TypeImpl;
 
 Datatype::Datatype(std::shared_ptr<const TypeImpl> impl) : impl_(std::move(impl)) {}
 
-Datatype Datatype::basic(BasicType t) {
-  auto impl = std::make_shared<TypeImpl>();
-  impl->kind = TypeImpl::Kind::basic;
-  impl->elem = t;
-  impl->size = basic_type_size(t);
-  impl->extent = static_cast<std::ptrdiff_t>(impl->size);
-  impl->nsegments = 1;
-  impl->contig = true;
-  return Datatype(std::move(impl));
+const Datatype& Datatype::basic(BasicType t) {
+  static const auto table = [] {
+    constexpr std::size_t kTypes =
+        static_cast<std::size_t>(BasicType::float64) + 1;
+    std::vector<Datatype> v;
+    v.reserve(kTypes);
+    for (std::size_t i = 0; i < kTypes; ++i) {
+      auto impl = std::make_shared<TypeImpl>();
+      impl->kind = TypeImpl::Kind::basic;
+      impl->elem = static_cast<BasicType>(i);
+      impl->size = basic_type_size(impl->elem);
+      impl->extent = static_cast<std::ptrdiff_t>(impl->size);
+      v.push_back(Datatype(std::move(impl)));
+    }
+    return v;
+  }();
+  return table[static_cast<std::size_t>(t)];
 }
 
 Datatype Datatype::contiguous(std::size_t count, const Datatype& old) {
@@ -158,18 +181,23 @@ Datatype Datatype::hindexed(std::span<const std::size_t> blocklens,
 
   std::size_t payload = 0;
   std::ptrdiff_t hi = 0;
+  std::ptrdiff_t prev_end = 0;
   std::size_t nseg = 0;
   for (std::size_t i = 0; i < blocklens.size(); ++i) {
     payload += blocklens[i] * c.size;
     const std::ptrdiff_t end =
         displs_bytes[i] + static_cast<std::ptrdiff_t>(blocklens[i]) * c.extent;
+    // A contiguous child's block that starts where the previous one ended
+    // continues that block's segment (the walk merges it the same way).
+    const bool touches = c.contig && i > 0 && displs_bytes[i] == prev_end;
+    if (!touches) nseg += c.contig ? 1 : blocklens[i] * c.nsegments;
     hi = std::max(hi, end);
-    nseg += c.contig ? 1 : blocklens[i] * c.nsegments;
+    prev_end = end;
   }
   impl->size = payload;
   impl->extent = hi;
   impl->nsegments = nseg;
-  impl->contig = (nseg == 1 && blocklens.size() == 1 && displs_bytes[0] == 0 &&
+  impl->contig = (nseg == 1 && displs_bytes[0] == 0 &&
                   static_cast<std::size_t>(impl->extent) == impl->size);
   return Datatype(std::move(impl));
 }
@@ -220,26 +248,22 @@ BasicType Datatype::element_type() const noexcept { return impl_->elem; }
 bool Datatype::contiguous_layout() const noexcept { return impl_->contig; }
 std::size_t Datatype::segment_count() const noexcept { return impl_->nsegments; }
 
-void Datatype::for_each_segment(std::size_t count,
-                                const std::function<void(Segment)>& f) const {
+void Datatype::walk_runs(std::size_t count, RunVisitor v) const {
+  const auto emit = [v](Segment s) { v.call(v.ctx, s); };
+  const TypeImpl& t = *impl_;
+  if (t.contig) {
+    if (count > 0) emit({0, count * t.size});
+    return;
+  }
+  detail::Coalescer<decltype(emit)> runs{emit};
   for (std::size_t i = 0; i < count; ++i)
-    detail::walk(*impl_, static_cast<std::ptrdiff_t>(i) * impl_->extent, f);
+    detail::walk(t, static_cast<std::ptrdiff_t>(i) * t.extent, runs);
+  runs.finish();
 }
 
 std::vector<Segment> Datatype::flatten(std::size_t count) const {
-  // Coalesce adjacent segments: consecutive instances of a contiguous type
-  // (and steps of a packed stride) collapse into one long segment, so both
-  // data movement and segment-based cost accounting see the true layout.
   std::vector<Segment> out;
-  for_each_segment(count, [&](Segment s) {
-    if (!out.empty() &&
-        out.back().offset + static_cast<std::ptrdiff_t>(out.back().length) ==
-            s.offset) {
-      out.back().length += s.length;
-    } else {
-      out.push_back(s);
-    }
-  });
+  for_each_segment(count, [&out](Segment s) { out.push_back(s); });
   return out;
 }
 
@@ -263,9 +287,9 @@ void Datatype::unpack(const void* in, void* base, std::size_t count) const {
   });
 }
 
-Datatype byte_type() { return Datatype::basic(BasicType::byte_); }
-Datatype int32_type() { return Datatype::basic(BasicType::int32); }
-Datatype int64_type() { return Datatype::basic(BasicType::int64); }
-Datatype double_type() { return Datatype::basic(BasicType::float64); }
+const Datatype& byte_type() { return Datatype::basic(BasicType::byte_); }
+const Datatype& int32_type() { return Datatype::basic(BasicType::int32); }
+const Datatype& int64_type() { return Datatype::basic(BasicType::int64); }
+const Datatype& double_type() { return Datatype::basic(BasicType::float64); }
 
 }  // namespace mpisim

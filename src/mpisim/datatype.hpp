@@ -16,9 +16,9 @@
 /// copying is cheap and thread-safe.
 
 #include <cstddef>
-#include <functional>
 #include <memory>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "src/mpisim/op.hpp"
@@ -38,8 +38,9 @@ struct Segment {
 /// Immutable handle to a (possibly derived) datatype.
 class Datatype {
  public:
-  /// A predefined basic type.
-  static Datatype basic(BasicType t);
+  /// The predefined basic type \p t: one shared handle per BasicType, so
+  /// asking for it allocates nothing.
+  static const Datatype& basic(BasicType t);
 
   /// \p count consecutive copies of \p old.
   static Datatype contiguous(std::size_t count, const Datatype& old);
@@ -85,14 +86,29 @@ class Datatype {
   /// True if one instance occupies size() contiguous bytes at offset 0.
   bool contiguous_layout() const noexcept;
 
-  /// Number of maximal contiguous segments in one instance.
+  /// Number of contiguous segments in one instance. Exact when every child
+  /// in the tree is contiguous (touching blocks of an (h)indexed type count
+  /// as one); otherwise an upper bound on flatten(1).size(), since runs that
+  /// meet across instances of a noncontiguous child are not subtracted.
   std::size_t segment_count() const noexcept;
 
-  /// Invoke \p f for every contiguous segment of \p count instances laid out
-  /// back-to-back (instance i starts at byte offset i * extent()). Adjacent
-  /// segments are emitted as produced, not merged.
-  void for_each_segment(std::size_t count,
-                        const std::function<void(Segment)>& f) const;
+  /// Invoke \p f(Segment) once per maximal contiguous run of \p count
+  /// instances laid out back-to-back (instance i starts at byte offset
+  /// i * extent()), in layout order. A run ends where the next one does not
+  /// start at its end byte, so the calls are exactly flatten(count)'s
+  /// segments. A contiguous_layout() type makes one call, {0, count *
+  /// size()}; a noncontiguous one visits each contiguous child block as one
+  /// run, never element by element. \p f is called through a plain function
+  /// pointer, with no allocation.
+  template <class F>
+  void for_each_segment(std::size_t count, F&& f) const {
+    using Fn = std::remove_reference_t<F>;
+    walk_runs(count, RunVisitor{
+                         const_cast<void*>(static_cast<const void*>(&f)),
+                         [](void* ctx, Segment s) {
+                           (*static_cast<Fn*>(ctx))(s);
+                         }});
+  }
 
   /// Flatten \p count instances into an explicit segment list.
   std::vector<Segment> flatten(std::size_t count) const;
@@ -106,15 +122,22 @@ class Datatype {
   void unpack(const void* in, void* base, std::size_t count) const;
 
  private:
+  /// Non-owning reference to a for_each_segment callable.
+  struct RunVisitor {
+    void* ctx;
+    void (*call)(void*, Segment);
+  };
+  void walk_runs(std::size_t count, RunVisitor v) const;
+
   explicit Datatype(std::shared_ptr<const detail::TypeImpl> impl);
   std::shared_ptr<const detail::TypeImpl> impl_;
 };
 
-/// Convenience handles for the common predefined types.
-Datatype byte_type();
-Datatype int32_type();
-Datatype int64_type();
-Datatype double_type();
+/// Convenience handles for the common predefined types (Datatype::basic).
+const Datatype& byte_type();
+const Datatype& int32_type();
+const Datatype& int64_type();
+const Datatype& double_type();
 
 }  // namespace mpisim
 

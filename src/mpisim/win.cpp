@@ -576,14 +576,14 @@ void Win::flush_all() const {
 
 void Win::put(const void* origin, std::size_t bytes, int target_rank,
               std::size_t target_disp) const {
-  const Datatype t = byte_type();
+  const Datatype& t = byte_type();
   rma_op(OpKind::put, origin, bytes, t, target_rank, target_disp, bytes, t,
          Op::replace);
 }
 
 void Win::get(void* origin, std::size_t bytes, int target_rank,
               std::size_t target_disp) const {
-  const Datatype t = byte_type();
+  const Datatype& t = byte_type();
   rma_op(OpKind::get, origin, bytes, t, target_rank, target_disp, bytes, t,
          Op::replace);
 }
@@ -754,6 +754,11 @@ void Win::rma_op(OpKind kind, const void* origin, std::size_t origin_count,
                     w.bases[static_cast<std::size_t>(target_rank)]) +
                 target_disp;
 
+  // Datatypes are immutable, so both segment lists are built before the
+  // global lock: the critical section below only checks, copies and charges.
+  const std::vector<Segment> osegs = origin_type.flatten(origin_count);
+  const std::vector<Segment> tsegs = target_type.flatten(target_count);
+
   std::unique_lock lk(core.mu());
   core.check_failed_locked();
   core.check_target_alive_locked(w.comm.group().world_rank(target_rank),
@@ -763,9 +768,6 @@ void Win::rma_op(OpKind kind, const void* origin, std::size_t origin_count,
   if (eit == ts.open.end())
     raise(Errc::no_epoch, "RMA operation outside a passive-target epoch");
   Epoch& ep = eit->second;
-
-  const std::vector<Segment> osegs = origin_type.flatten(origin_count);
-  const std::vector<Segment> tsegs = target_type.flatten(target_count);
 
   // ---- MPI-2 conflicting-access detection (checker.hpp) ----
   // Each checker records and checks the op's target segments in order, so

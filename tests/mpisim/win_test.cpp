@@ -438,6 +438,42 @@ TEST(WinTimeTest, MoreSegmentsCostMoreVirtualTime) {
   });
 }
 
+// A put's modeled cost depends on its bytes and segment count only, never
+// on how the datatype walk produces the segments. Both advances are pinned
+// to the values of the element-by-element walk this layer used to make.
+TEST(WinTimeTest, PutVirtualCostIsPinned) {
+  run(2, Platform::bluegene_p, [] {
+    constexpr std::size_t kRows = 64, kCols = 128;  // 64 KiB of doubles
+    std::vector<double> mem(kRows * kCols, 0.0);
+    Win win = Win::create(mem.data(), mem.size() * sizeof(double), world());
+    world().barrier();
+    if (rank() == 0) {
+      std::vector<double> src(kRows * kCols, 1.0);
+      win.lock(LockType::exclusive, 1);
+      const double t0 = clock().now_ns();
+      win.put(src.data(), src.size() * sizeof(double), 1, 0);
+      const double contig = clock().now_ns() - t0;
+      win.unlock(1);
+
+      const std::size_t sizes[] = {kRows, kCols};
+      const std::size_t subsizes[] = {16, 32};
+      const std::size_t starts[] = {3, 5};
+      const Datatype patch =
+          Datatype::subarray(sizes, subsizes, starts, double_type());
+      win.lock(LockType::exclusive, 1);
+      const double t1 = clock().now_ns();
+      win.put(src.data(), 16 * 32, double_type(), 1, 0, 1, patch);
+      const double strided = clock().now_ns() - t1;
+      win.unlock(1);
+
+      EXPECT_DOUBLE_EQ(contig, 179486.74677187949);  // 1 segment
+      EXPECT_DOUBLE_EQ(strided, 27914.418255273718);  // 16 segments
+    }
+    world().barrier();
+    win.free();
+  });
+}
+
 TEST(WinTest, MultipleWindowsCoexist) {
   run(2, Platform::ideal, [] {
     std::vector<double> a(4, 0.0), b(4, 0.0);
