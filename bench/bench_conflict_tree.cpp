@@ -1,5 +1,5 @@
-// Ablation A1 (paper §VI-B): IOV overlap detection cost -- the AVL
-// conflict tree's O(N log N) check-and-insert versus the naive O(N^2)
+// Ablation A1 (paper §VI-B): IOV overlap detection cost -- the conflict
+// tree's O(N log N) check-and-insert versus the naive O(N^2)
 // pairwise scan, over descriptor sizes up to NWChem scale (hundreds of
 // thousands of segments). This is a real-wall-clock benchmark: the scan is
 // local CPU work, not modeled communication.
@@ -74,7 +74,7 @@ void BM_NaiveScan(benchmark::State& state) {
 }
 
 // Sorted (in-order) insertion: the adversarial case a non-balancing tree
-// degrades on; the AVL tree must stay logarithmic.
+// degrades on; for the blocked tree it is the append-only fast path.
 void BM_ConflictTreeSorted(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const std::size_t bytes = 64;

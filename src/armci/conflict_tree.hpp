@@ -2,7 +2,7 @@
 #define ARMCI_CONFLICT_TREE_HPP
 
 /// \file conflict_tree.hpp
-/// Forwarding alias for the AVL conflict tree (paper §VI-B).
+/// Forwarding alias for the conflict tree (paper §VI-B).
 ///
 /// The tree itself now lives in src/mpisim/conflict_tree.hpp so the RMA
 /// validity checker (mpisim/checker.hpp) can reuse it for epoch-interval

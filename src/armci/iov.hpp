@@ -14,7 +14,7 @@
 namespace armci {
 
 /// O(N log N) overlap detection over \p n segments of \p bytes bytes each,
-/// using the AVL conflict tree (paper §VI-B).
+/// using the conflict tree (paper §VI-B).
 bool iov_has_overlap(std::span<const void* const> ptrs, std::size_t bytes);
 
 /// Naive O(N^2) pairwise scan; ablation baseline for bench_conflict_tree.

@@ -29,10 +29,12 @@
 ///  - lock-discipline misuse (counted here; the window layer raises the
 ///    classified Errc).
 ///
-/// Interval bookkeeping reuses the AVL conflict tree of paper §VI-B
-/// (conflict_tree.hpp) via its union-building insert_merge(). A clean
-/// access pays only for that bookkeeping -- its conflict queries and one
-/// insert per segment; diagnostic text is rendered only for a hit.
+/// Interval bookkeeping reuses the conflict tree of paper §VI-B
+/// (conflict_tree.hpp; a blocked B+-tree where the paper has an AVL tree)
+/// via its union-building insert_merge(). A clean access pays only for
+/// that bookkeeping -- its conflict queries and one insert per segment,
+/// with no heap allocation per segment; diagnostic text is rendered only
+/// for a hit.
 ///
 /// Conflicts become structured diagnostics reported when the access epoch
 /// completes -- at unlock / flush / local_access_end -- as MPI-2 prescribes
@@ -135,8 +137,8 @@ struct AccessHit {
 };
 
 /// Recorded byte coverage of one epoch (RmaChecker) or one published
-/// summary (HbChecker), in one AVL conflict tree per class the MPI rule
-/// tells apart. Each checker inserts with its own primitive -- RmaChecker
+/// summary (HbChecker), in one conflict tree per class the MPI rule tells
+/// apart. Each checker inserts with its own primitive -- RmaChecker
 /// insert_merge (diagnostics print the recorded interval), HbChecker
 /// insert_coalesce (its memory bound counts intervals) -- into the tree
 /// this type picks.
