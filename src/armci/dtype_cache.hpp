@@ -64,13 +64,17 @@ class DatatypeCache {
   };
   using Entry = std::pair<Key, mpisim::Datatype>;
 
-  /// Cached handle for \p key, or build() on a miss. A template so a
-  /// lookup never wraps \p build in an allocating std::function; only
-  /// dtype_cache.cpp instantiates it.
+  /// Cached handle for the shape in probe_, or build() on a miss (which
+  /// copies probe_ into the new entry). A template so a lookup never wraps
+  /// \p build in an allocating std::function; only dtype_cache.cpp
+  /// instantiates it.
   template <class Build>
-  mpisim::Datatype get_or_build(Key key, Stats& stats, Build&& build);
+  mpisim::Datatype get_or_build(Stats& stats, Build&& build);
 
   std::size_t capacity_ = 64;
+  /// The key of the lookup in progress, rebuilt in place so a hit
+  /// allocates nothing.
+  Key probe_;
   std::list<Entry> lru_;  ///< front = most recently used
   std::unordered_map<Key, std::list<Entry>::iterator, KeyHash> index_;
 };

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <exception>
 #include <mutex>
+#include <optional>
 
 #include "src/armci/accops.hpp"
 #include "src/armci/backend.hpp"
@@ -56,10 +57,10 @@ void abandon_contract(NbQueue& q) {
 }  // namespace
 
 bool Request::test() const noexcept {
-  if (tickets_.empty()) return true;
+  if (count_ == 0) return true;
   const ProcState* st = state_if_initialized();
   if (st == nullptr) return true;  // finalize drained or dropped the queues
-  for (const NbTicket& t : tickets_)
+  for (const NbTicket& t : tickets())
     if (!st->nb.ticket_complete(t)) return false;
   return true;
 }
@@ -103,8 +104,10 @@ void NbEngine::flush(ProcState& st, NbQueue& q) {
   }
   const bool had_pending = q.pending_flush;
   if (q.ops.empty() && !had_pending) return;
-  std::vector<NbOp> batch = std::move(q.ops);
-  q.ops.clear();
+  // Swap the ops into batch_: both vectors keep their capacity.
+  std::vector<NbOp>& batch = batch_;
+  batch.clear();
+  batch.swap(q.ops);
   clear_trees(q);
   q.pending_flush = false;
   // Mark complete *before* executing: if the backend surfaces an error
@@ -120,17 +123,20 @@ void NbEngine::flush(ProcState& st, NbQueue& q) {
     }
     if (had_pending) st.backend->complete_target(*q.gmr, q.target_rank);
   } catch (...) {
+    batch.clear();
     abandon_contract(q);
     throw;
   }
+  batch.clear();
   retire_queue(st, q);
 }
 
 void NbEngine::flush_group(ProcState& st, std::span<NbQueue* const> group) {
-  std::vector<NbQueue*> pending;
-  for (NbQueue* q : group)
-    if (q != nullptr && queue_live(*q)) pending.push_back(q);
-  if (pending.empty()) return;
+  const auto live = [](const NbQueue* q) {
+    return q != nullptr && queue_live(*q);
+  };
+  const auto nlive = std::count_if(group.begin(), group.end(), live);
+  if (nlive == 0) return;
 
   // Drain every queue even if one fails: a crashed owner must not leave
   // the other owners' batches queued behind the error (their tickets would
@@ -145,38 +151,38 @@ void NbEngine::flush_group(ProcState& st, std::span<NbQueue* const> group) {
       if (!first_error) first_error = std::current_exception();
     }
   };
-  if (pending.size() >= 2) {
+  {
     // One completion point covering several targets: overlap the epoch
     // round trips, as a real nonblocking runtime would.
-    mpisim::EpochPipeline pipeline;
-    for (NbQueue* q : pending) drain(q);
-  } else {
-    drain(pending.front());
+    std::optional<mpisim::EpochPipeline> pipeline;
+    if (nlive >= 2) pipeline.emplace();
+    for (NbQueue* q : group)
+      if (live(q)) drain(q);
   }
   if (first_error) std::rethrow_exception(first_error);
 }
 
 void NbEngine::flush_all(ProcState& st) {
-  std::vector<NbQueue*> group;
+  group_.clear();
   for (auto& [key, q] : queues_)
-    if (queue_live(q)) group.push_back(&q);
-  flush_group(st, group);
+    if (queue_live(q)) group_.push_back(&q);
+  flush_group(st, group_);
   run_callbacks(st);
 }
 
 void NbEngine::flush_proc(ProcState& st, int proc) {
-  std::vector<NbQueue*> group;
+  group_.clear();
   for (auto& [key, q] : queues_)
-    if (q.proc == proc && queue_live(q)) group.push_back(&q);
-  flush_group(st, group);
+    if (q.proc == proc && queue_live(q)) group_.push_back(&q);
+  flush_group(st, group_);
   run_callbacks(st);
 }
 
 void NbEngine::flush_gmr(ProcState& st, std::uint64_t gmr_id) {
-  std::vector<NbQueue*> group;
+  group_.clear();
   for (auto& [key, q] : queues_)
-    if (key.first == gmr_id && queue_live(q)) group.push_back(&q);
-  flush_group(st, group);
+    if (key.first == gmr_id && queue_live(q)) group_.push_back(&q);
+  flush_group(st, group_);
   run_callbacks(st);
 }
 
@@ -212,7 +218,8 @@ void NbEngine::flush_for_blocking(ProcState& st, int proc, const void* local,
 }
 
 void NbEngine::complete(ProcState& st, const Request& req) {
-  std::vector<NbQueue*> group;
+  std::vector<NbQueue*>& group = group_;
+  group.clear();
   for (const NbTicket& t : RequestAccess::tickets(req)) {
     auto it = queues_.find({t.gmr_id, t.proc});
     if (it == queues_.end()) continue;
@@ -245,7 +252,8 @@ std::uint64_t NbEngine::enqueue(ProcState& st, const std::shared_ptr<Gmr>& gmr,
   // them as conflicting and serialize the whole pipeline. Very fragmented
   // types fall back to the bounding box to cap the cost.
   constexpr std::size_t kMaxPreciseSegments = 4096;
-  std::vector<std::pair<std::uintptr_t, std::uintptr_t>> lsegs;
+  auto& lsegs = lsegs_;
+  lsegs.clear();
   if (op.typed && op.ltype.segment_count() <= kMaxPreciseSegments) {
     const std::uintptr_t base = lo_of(op.local);
     op.ltype.for_each_segment(1, [&](mpisim::Segment s) {
@@ -670,41 +678,32 @@ void NbEngine::progress_tick(ProcState& st) {
 
 bool NbEngine::test(ProcState& st, const Request& req, Completion level) {
   (void)st;
-  const std::span<const NbTicket> tickets = RequestAccess::tickets(req);
-  for (const NbTicket& t : tickets) {
+  if (!satisfied(req, level)) return false;
+  // Satisfied -- but a covered queue may have completed *by parking*;
+  // surface that (exactly once) rather than reporting clean completion.
+  if (std::exception_ptr err = take_parked(RequestAccess::tickets(req)))
+    std::rethrow_exception(err);
+  return true;
+}
+
+bool NbEngine::satisfied(const Request& req, Completion level) const noexcept {
+  for (const NbTicket& t : RequestAccess::tickets(req)) {
     const bool ok =
         level == Completion::source ? ticket_issued(t) : ticket_complete(t);
     if (!ok) return false;
   }
-  // Satisfied -- but a covered queue may have completed *by parking*;
-  // surface that (exactly once) rather than reporting clean completion.
-  if (std::exception_ptr err = take_parked(tickets))
-    std::rethrow_exception(err);
   return true;
 }
 
 void NbEngine::on_complete(ProcState& st, const Request& req, Completion level,
                            std::function<void(std::exception_ptr)> fn) {
   (void)st;
-  CallbackRec rec;
-  const std::span<const NbTicket> tickets = RequestAccess::tickets(req);
-  rec.tickets.assign(tickets.begin(), tickets.end());
-  rec.level = level;
-  rec.fn = std::move(fn);
-  bool done = true;
-  for (const NbTicket& t : rec.tickets) {
-    const bool ok =
-        level == Completion::source ? ticket_issued(t) : ticket_complete(t);
-    if (!ok) {
-      done = false;
-      break;
-    }
-  }
-  if (done) {
-    rec.fn(take_parked(rec.tickets));  // already satisfied: run in place
+  if (satisfied(req, level)) {
+    // Already satisfied: run in place.
+    fn(take_parked(RequestAccess::tickets(req)));
     return;
   }
-  callbacks_.push_back(std::move(rec));
+  callbacks_.push_back(CallbackRec{req, level, std::move(fn)});
 }
 
 std::exception_ptr NbEngine::take_parked(std::span<const NbTicket> tickets) {
@@ -726,25 +725,20 @@ void NbEngine::run_callbacks(ProcState& st) {
   // Collect the ready records and erase them *before* invoking anything: a
   // callback may issue nb ops, wait, or register further callbacks, all of
   // which re-enter this engine.
-  std::vector<CallbackRec> ready;
+  std::vector<CallbackRec> ready = std::move(ready_);
+  ready.clear();
   for (auto it = callbacks_.begin(); it != callbacks_.end();) {
-    bool done = true;
-    for (const NbTicket& t : it->tickets) {
-      const bool ok = it->level == Completion::source ? ticket_issued(t)
-                                                      : ticket_complete(t);
-      if (!ok) {
-        done = false;
-        break;
-      }
-    }
-    if (done) {
+    if (satisfied(it->req, it->level)) {
       ready.push_back(std::move(*it));
       it = callbacks_.erase(it);
     } else {
       ++it;
     }
   }
-  for (CallbackRec& cb : ready) cb.fn(take_parked(cb.tickets));
+  for (CallbackRec& cb : ready)
+    cb.fn(take_parked(RequestAccess::tickets(cb.req)));
+  ready.clear();
+  ready_ = std::move(ready);  // keep the capacity for the next batch
 }
 
 }  // namespace armci

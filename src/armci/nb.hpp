@@ -248,9 +248,13 @@ class NbEngine {
   /// name; nullptr when none.
   std::exception_ptr take_parked(std::span<const NbTicket> tickets);
 
-  /// One registered completion callback.
+  /// True once every ticket of \p req is satisfied at \p level.
+  bool satisfied(const Request& req, Completion level) const noexcept;
+
+  /// One registered completion callback. It keeps a copy of the request,
+  /// whose first tickets are held in place.
   struct CallbackRec {
-    std::vector<NbTicket> tickets;
+    Request req;
     Completion level = Completion::operation;
     std::function<void(std::exception_ptr)> fn;
   };
@@ -258,6 +262,15 @@ class NbEngine {
   std::map<QueueKey, NbQueue> queues_;
   std::vector<CallbackRec> callbacks_;
   bool ticking_ = false;  ///< progress_tick re-entrancy guard
+
+  // Buffers reused across calls, so a warm engine defers and drains ops
+  // without allocating. No engine call re-enters while one is in use:
+  // flushes reach only the backend, and callbacks run after them.
+  std::vector<NbQueue*> group_;  ///< queues one completion point drains
+  std::vector<NbOp> batch_;      ///< the ops flush() hands the backend
+  std::vector<CallbackRec> ready_;  ///< run_callbacks' batch (moved out
+                                    ///< while callbacks run: they re-enter)
+  std::vector<std::pair<std::uintptr_t, std::uintptr_t>> lsegs_;  ///< enqueue
 };
 
 /// Runtime-internal accessor for Request's ticket list.
@@ -265,10 +278,10 @@ class RequestAccess {
  public:
   static void add_ticket(Request& req, std::uint64_t gmr_id, int proc,
                          std::uint64_t seq) {
-    req.tickets_.push_back(NbTicket{gmr_id, proc, seq});
+    req.add(NbTicket{gmr_id, proc, seq});
   }
   static std::span<const NbTicket> tickets(const Request& req) noexcept {
-    return req.tickets_;
+    return req.tickets();
   }
 };
 

@@ -5,8 +5,10 @@
 /// Public types of the ARMCI layer: configuration, IOV descriptors,
 /// strided-operation notation, accumulate types, nonblocking handles.
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace armci {
@@ -157,13 +159,36 @@ class Request {
   /// batch of nb ops (one per target) and want one completion point without
   /// the indiscriminate flush of wait_all().
   void merge(const Request& other) {
-    tickets_.insert(tickets_.end(), other.tickets_.begin(),
-                    other.tickets_.end());
+    for (const NbTicket& t : other.tickets()) add(t);
   }
 
  private:
   friend class RequestAccess;
-  std::vector<NbTicket> tickets_;  ///< empty: nothing pending (eager path)
+
+  /// Tickets held in place: a handle covering up to this many deferred ops
+  /// (a GA patch's per-owner batches, say) allocates nothing.
+  static constexpr std::size_t kInlineTickets = 4;
+
+  /// The covered ops' tickets; empty: nothing pending (eager path).
+  std::span<const NbTicket> tickets() const noexcept {
+    if (count_ <= kInlineTickets) return {inline_.data(), count_};
+    return spill_;
+  }
+
+  void add(const NbTicket& t) {
+    if (count_ < kInlineTickets) {
+      inline_[count_] = t;
+    } else {
+      if (count_ == kInlineTickets)
+        spill_.assign(inline_.begin(), inline_.end());
+      spill_.push_back(t);
+    }
+    ++count_;
+  }
+
+  std::array<NbTicket, kInlineTickets> inline_{};
+  std::vector<NbTicket> spill_;  ///< every ticket, once count_ > inline
+  std::size_t count_ = 0;
 };
 
 /// Completion level of a nonblocking operation, for armci::test() and

@@ -183,26 +183,34 @@ int Distribution::owner_of(std::span<const std::int64_t> idx) const {
 }
 
 Patch Distribution::patch_of(int proc) const {
-  const std::size_t nd = dims_.size();
   Patch p;
-  p.lo.assign(nd, 0);
-  p.hi.assign(nd, -1);
-  if (proc < 0 || proc >= owning_procs()) return p;  // owns nothing
-  // Decompose the process's grid cell into coordinates, row-major.
-  std::vector<int> cell(nd);
-  int rem = cell_of_proc(proc);
-  for (std::size_t d = nd; d-- > 0;) {
-    cell[d] = rem % grid_[d];
-    rem /= grid_[d];
-  }
-  for (std::size_t d = 0; d < nd; ++d) {
-    p.lo[d] = starts_[d][static_cast<std::size_t>(cell[d])];
-    p.hi[d] = starts_[d][static_cast<std::size_t>(cell[d]) + 1] - 1;
-  }
+  patch_of(proc, p);
   return p;
 }
 
+void Distribution::patch_of(int proc, Patch& out) const {
+  const std::size_t nd = dims_.size();
+  out.lo.assign(nd, 0);
+  out.hi.assign(nd, -1);
+  if (proc < 0 || proc >= owning_procs()) return;  // owns nothing
+  // Decompose the process's grid cell into coordinates, row-major.
+  int rem = cell_of_proc(proc);
+  for (std::size_t d = nd; d-- > 0;) {
+    const auto c = static_cast<std::size_t>(rem % grid_[d]);
+    rem /= grid_[d];
+    out.lo[d] = starts_[d][c];
+    out.hi[d] = starts_[d][c + 1] - 1;
+  }
+}
+
 std::vector<OwnedPatch> Distribution::intersect(const Patch& region) const {
+  std::vector<OwnedPatch> out;
+  out.resize(intersect(region, out));
+  return out;
+}
+
+std::size_t Distribution::intersect(const Patch& region,
+                                    std::vector<OwnedPatch>& out) const {
   const std::size_t nd = dims_.size();
   if (region.lo.size() != nd || region.hi.size() != nd)
     mpisim::raise(Errc::invalid_argument, "region rank mismatch");
@@ -212,43 +220,38 @@ std::vector<OwnedPatch> Distribution::intersect(const Patch& region) const {
       mpisim::raise(Errc::invalid_argument, "region out of range");
   }
 
-  // Block-index ranges touched per dimension.
-  std::vector<int> first(nd), last(nd);
-  for (std::size_t d = 0; d < nd; ++d) {
-    first[d] = block_index(d, region.lo[d]);
-    last[d] = block_index(d, region.hi[d]);
-  }
+  // Grid cells touched: the product of the block-index ranges per
+  // dimension.
+  std::size_t cells = 1;
+  for (std::size_t d = 0; d < nd; ++d)
+    cells *= static_cast<std::size_t>(block_index(d, region.hi[d]) -
+                                      block_index(d, region.lo[d]) + 1);
+  if (out.size() < cells) out.resize(cells);
 
-  std::vector<OwnedPatch> out;
-  std::vector<int> cell(first.begin(), first.end());
-  while (true) {
-    OwnedPatch op;
+  // Cell k in row-major order (innermost dimension fastest): decode k
+  // digit by digit from the innermost dimension out.
+  for (std::size_t k = 0; k < cells; ++k) {
+    OwnedPatch& op = out[k];
     op.patch.lo.resize(nd);
     op.patch.hi.resize(nd);
+    std::size_t rest = k;
     int c = 0;
-    for (std::size_t d = 0; d < nd; ++d) {
-      c = c * grid_[d] + cell[d];
-      const std::int64_t blo = starts_[d][static_cast<std::size_t>(cell[d])];
-      const std::int64_t bhi =
-          starts_[d][static_cast<std::size_t>(cell[d]) + 1] - 1;
-      op.patch.lo[d] = std::max(region.lo[d], blo);
-      op.patch.hi[d] = std::min(region.hi[d], bhi);
+    int weight = 1;
+    for (std::size_t d = nd; d-- > 0;) {
+      const int first = block_index(d, region.lo[d]);
+      const auto span =
+          static_cast<std::size_t>(block_index(d, region.hi[d]) - first + 1);
+      const int cell = first + static_cast<int>(rest % span);
+      rest /= span;
+      c += cell * weight;
+      weight *= grid_[d];
+      const auto b = static_cast<std::size_t>(cell);
+      op.patch.lo[d] = std::max(region.lo[d], starts_[d][b]);
+      op.patch.hi[d] = std::min(region.hi[d], starts_[d][b + 1] - 1);
     }
     op.proc = proc_of_cell(c);
-    out.push_back(std::move(op));
-
-    // Advance the cell counter (row-major, innermost last).
-    std::size_t d = nd;
-    while (d-- > 0) {
-      if (cell[d] < last[d]) {
-        ++cell[d];
-        break;
-      }
-      cell[d] = first[d];
-      if (d == 0) return out;
-    }
-    if (d == static_cast<std::size_t>(-1)) return out;
   }
+  return cells;
 }
 
 }  // namespace ga

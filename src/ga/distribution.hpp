@@ -81,9 +81,18 @@ class Distribution {
   /// process owns nothing.
   Patch patch_of(int proc) const;
 
+  /// patch_of() into \p out, reusing its vectors.
+  void patch_of(int proc, Patch& out) const;
+
   /// Decompose \p region into per-owner sub-patches, owner order
   /// deterministic (row-major grid order).
   std::vector<OwnedPatch> intersect(const Patch& region) const;
+
+  /// intersect() into out[0, n), returning n. \p out only grows, and its
+  /// elements' vectors are reused: a caller that keeps one buffer stops
+  /// allocating once it has held the largest owner fan-out.
+  std::size_t intersect(const Patch& region,
+                        std::vector<OwnedPatch>& out) const;
 
   /// Block index of \p x in dimension \p d.
   int block_index(std::size_t d, std::int64_t x) const;

@@ -174,31 +174,37 @@ armci::Request region_xfer_issue(GaImpl& ga, XferKind kind,
   if (!ld.empty() && ld.size() != nd - 1)
     mpisim::raise(Errc::invalid_argument, "ld must have ndim-1 entries");
 
-  // Byte strides of the caller's buffer.
-  std::vector<std::int64_t> buf_ext(nd);
-  for (std::size_t d = 0; d < nd; ++d) buf_ext[d] = region.extent(d);
-  for (std::size_t k = 0; k + 1 < nd; ++k) {
-    if (!ld.empty()) {
-      if (ld[k] < buf_ext[k + 1])
-        mpisim::raise(Errc::invalid_argument,
-                      "ld smaller than the patch extent");
-      buf_ext[k + 1] = ld[k];
-    }
-  }
-  const std::vector<std::size_t> buf_strides =
-      detail::row_major_strides(buf_ext, esz);
+  for (std::size_t k = 0; k + 1 < nd && !ld.empty(); ++k)
+    if (ld[k] < region.extent(k + 1))
+      mpisim::raise(Errc::invalid_argument,
+                    "ld smaller than the patch extent");
+
+  // Every buffer below is this rank's reused scratch. Moved out for the
+  // call, so a nested transfer (none is expected) would only allocate.
+  GaImpl::XferScratch x = std::move(ga.xfer);
+
+  // Byte strides of the caller's buffer: the region's extents, with ld
+  // overriding dimensions 1..nd-1.
+  const auto buf_extent = [&](std::size_t d) {
+    return ld.empty() || d == 0 ? region.extent(d) : ld[d - 1];
+  };
+  detail::row_major_strides(nd, buf_extent, esz, x.buf_strides);
+  const std::vector<std::size_t>& buf_strides = x.buf_strides;
+  const std::vector<std::size_t>& rem_strides = x.rem_strides;
+  const Patch& block = x.block;
+  armci::StridedSpec& spec = x.spec;
 
   armci::Request req;
   int owners = 0;
   std::uint64_t batches = 0;
   const bool repl = detail::replicated(ga);
-  for (const OwnedPatch& op : ga.dist.intersect(region)) {
+  const std::size_t nowners = ga.dist.intersect(region, x.owners);
+  for (std::size_t oi = 0; oi < nowners; ++oi) {
+    const OwnedPatch& op = x.owners[oi];
     const int owner_abs = detail::abs_proc(ga, op.proc);
-    const Patch block = ga.dist.patch_of(op.proc);
-    std::vector<std::int64_t> blk_ext(nd);
-    for (std::size_t d = 0; d < nd; ++d) blk_ext[d] = block.extent(d);
-    const std::vector<std::size_t> rem_strides =
-        detail::row_major_strides(blk_ext, esz);
+    ga.dist.patch_of(op.proc, x.block);
+    const auto block_extent = [&](std::size_t d) { return block.extent(d); };
+    detail::row_major_strides(nd, block_extent, esz, x.rem_strides);
 
     // Remote address of the sub-patch start within the owner's block.
     std::size_t rem_off = 0;
@@ -227,7 +233,6 @@ armci::Request region_xfer_issue(GaImpl& ga, XferKind kind,
 
     // ARMCI strided notation: count[0] in bytes over the innermost
     // dimension; stride level i covers dimension nd-2-i.
-    armci::StridedSpec spec;
     spec.stride_levels = static_cast<int>(nd) - 1;
     spec.count.resize(nd);
     spec.count[0] = static_cast<std::size_t>(op.patch.extent(nd - 1)) * esz;
@@ -299,6 +304,7 @@ armci::Request region_xfer_issue(GaImpl& ga, XferKind kind,
     }
     ++owners;
   }
+  ga.xfer = std::move(x);
   detail::count_multi_owner(owners, batches);
   return req;
 }
@@ -365,15 +371,8 @@ std::int64_t GlobalArray::read_inc(std::span<const std::int64_t> subscript,
     mpisim::raise(Errc::invalid_argument, "read_inc requires an int64 array");
   const int proc = ga.dist.owner_of(subscript);
   const int proc_abs = detail::abs_proc(ga, proc);
-  const Patch block = ga.dist.patch_of(proc);
-  const std::size_t nd = static_cast<std::size_t>(ga.dist.ndim());
-  std::vector<std::int64_t> ext(nd);
-  for (std::size_t d = 0; d < nd; ++d) ext[d] = block.extent(d);
-  const std::vector<std::size_t> strides =
-      detail::row_major_strides(ext, sizeof(std::int64_t));
-  std::size_t off = 0;
-  for (std::size_t d = 0; d < nd; ++d)
-    off += static_cast<std::size_t>(subscript[d] - block.lo[d]) * strides[d];
+  const std::size_t off = detail::element_offset(
+      ga.dist.patch_of(proc), subscript, sizeof(std::int64_t));
   auto* remote = static_cast<std::uint8_t*>(
                      ga.bases[static_cast<std::size_t>(proc_abs)]) +
                  off;

@@ -34,6 +34,18 @@ struct GaImpl {
   /// append distribution rank r's replica to the allocation of its buddy
   /// (r + 1) % nprocs, at offset block_bytes[buddy].
   std::vector<std::size_t> block_bytes;
+
+  /// Buffers a patch transfer (ga.cpp region_xfer_issue) reuses, so a
+  /// steady stream of put/get/acc/nb_get calls allocates nothing here once
+  /// warm. Each rank owns its GaImpl, so nothing else touches them.
+  struct XferScratch {
+    std::vector<OwnedPatch> owners;  ///< the region's per-owner sub-patches
+    Patch block;                     ///< the owner's whole block
+    std::vector<std::size_t> buf_strides;  ///< caller buffer, bytes
+    std::vector<std::size_t> rem_strides;  ///< owner block, bytes
+    armci::StridedSpec spec;
+  };
+  XferScratch xfer;
 };
 
 /// Number of distribution ranks the array is laid out over.

@@ -13,30 +13,29 @@
 
 namespace ga::detail {
 
-/// Byte strides (row-major) for a block of the given extents.
-inline std::vector<std::size_t> row_major_strides(
-    std::span<const std::int64_t> ext, std::size_t esz) {
-  const std::size_t nd = ext.size();
-  std::vector<std::size_t> s(nd);
+/// Byte strides (row-major) of \p nd dimensions whose extents are
+/// \p extent(d), written into \p out (its capacity is reused).
+template <class Extent>
+void row_major_strides(std::size_t nd, Extent&& extent, std::size_t esz,
+                       std::vector<std::size_t>& out) {
+  out.resize(nd);
   std::size_t acc = esz;
   for (std::size_t d = nd; d-- > 0;) {
-    s[d] = acc;
-    acc *= static_cast<std::size_t>(ext[d]);
+    out[d] = acc;
+    acc *= static_cast<std::size_t>(extent(d));
   }
-  return s;
 }
 
 /// Byte offset of global element \p idx within the owner block \p block.
 inline std::size_t element_offset(const Patch& block,
                                   std::span<const std::int64_t> idx,
                                   std::size_t esz) {
-  const std::size_t nd = idx.size();
-  std::vector<std::int64_t> ext(nd);
-  for (std::size_t d = 0; d < nd; ++d) ext[d] = block.extent(d);
-  const std::vector<std::size_t> strides = row_major_strides(ext, esz);
   std::size_t off = 0;
-  for (std::size_t d = 0; d < nd; ++d)
-    off += static_cast<std::size_t>(idx[d] - block.lo[d]) * strides[d];
+  std::size_t stride = esz;
+  for (std::size_t d = idx.size(); d-- > 0;) {
+    off += static_cast<std::size_t>(idx[d] - block.lo[d]) * stride;
+    stride *= static_cast<std::size_t>(block.extent(d));
+  }
   return off;
 }
 

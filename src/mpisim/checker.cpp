@@ -92,7 +92,8 @@ std::size_t AccessSet::size() const noexcept {
 void AccessSet::clear() noexcept {
   reads.clear();
   writes.clear();
-  accs.clear();
+  // Keep the per-operator entries: a recycled epoch record reuses them.
+  for (auto& [op, tree] : accs) tree.clear();
 }
 
 RmaChecker::RmaChecker(RmaCheck mode, int nranks)
@@ -102,11 +103,30 @@ RmaChecker::RmaChecker(RmaCheck mode, int nranks)
 void RmaChecker::epoch_opened(std::uint64_t win, int target, int origin,
                               bool exclusive) {
   if (!enabled()) return;
-  EpochRec ep;
+  TargetRec& tr = wins_[win].targets[target];
+  auto eit = tr.open.find(origin);
+  if (eit == tr.open.end()) {
+    // Reuse a closed epoch's record (its map node and buffers) when the
+    // target has one: a lock/unlock stream then allocates nothing here.
+    if (tr.spare.empty()) {
+      eit = tr.open.try_emplace(origin).first;
+    } else {
+      auto node = std::move(tr.spare.back());
+      tr.spare.pop_back();
+      node.key() = origin;
+      eit = tr.open.insert(std::move(node)).position;
+    }
+  }
+  EpochRec& ep = eit->second;
   ep.id = next_epoch_id_++;
   ep.origin = origin;
   ep.exclusive = exclusive;
-  wins_[win].targets[target].open.insert_or_assign(origin, std::move(ep));
+  ep.mpi3 = false;
+  ep.scope = nullptr;
+  ep.held = false;
+  ep.sets.clear();
+  ep.ghosts.clear();
+  ep.pending.clear();
 }
 
 void RmaChecker::epoch_set_mpi3(std::uint64_t win, int target, int origin) {
@@ -128,19 +148,22 @@ void RmaChecker::epoch_closing(std::uint64_t win, int target, int origin) {
   auto eit = tit->second.open.find(origin);
   if (eit == tit->second.open.end()) return;
 
-  EpochRec ep = std::move(eit->second);
-  tit->second.open.erase(eit);
+  TargetRec& tr = tit->second;
+  auto node = tr.open.extract(eit);
+  EpochRec& ep = node.mapped();
 
   // Hand this epoch's access summary to every epoch still open on the
   // target: those epochs were concurrent with it, and MPI-2 makes the
   // conflicting pair erroneous no matter which side's accesses landed
   // first. Epochs opened later never see this ghost, which is what keeps
-  // properly serialized (lock-ordered) reuse of the same bytes legal.
-  if (!ep.mpi3 && !ep.sets.empty()) {
+  // properly serialized (lock-ordered) reuse of the same bytes legal. A
+  // held op nobody else can see is dropped unrecorded.
+  if (!ep.mpi3 && (ep.held || !ep.sets.empty())) {
     std::shared_ptr<Ghost> g;
-    for (auto& [orank, oe] : tit->second.open) {
+    for (auto& [orank, oe] : tr.open) {
       if (oe.mpi3) continue;
       if (g == nullptr) {
+        build_held(ep);
         g = std::make_shared<Ghost>();
         g->epoch_id = ep.id;
         g->origin = ep.origin;
@@ -152,6 +175,7 @@ void RmaChecker::epoch_closing(std::uint64_t win, int target, int origin) {
     }
   }
   report(ep.pending);
+  tr.spare.push_back(std::move(node));
 }
 
 void RmaChecker::epoch_flushed(std::uint64_t win, int target, int origin) {
@@ -167,6 +191,7 @@ void RmaChecker::epoch_flushed(std::uint64_t win, int target, int origin) {
   // The epoch's tracking unit restarts empty (ghosts included -- the closed
   // epochs they summarize are now also ordered before the later accesses).
   EpochRec& ep = eit->second;
+  ep.held = false;
   ep.sets.clear();
   ep.ghosts.clear();
   report(ep.pending);
@@ -258,6 +283,10 @@ void RmaChecker::record_op(std::uint64_t win, int target, int origin,
   if (eit == tr.open.end()) return;  // win.cpp raises no_epoch before this
   EpochRec& ep = eit->second;
 
+  if (may_hold(tr, ep, origin) && hold(ep, kind, op, disp, segs, scope))
+    return;
+  build_held(ep);
+
   const char* kind_str = kind == OpKind::put   ? "put"
                          : kind == OpKind::get ? "get"
                          : kind == OpKind::acc ? "accumulate"
@@ -302,6 +331,7 @@ void RmaChecker::record_op(std::uint64_t win, int target, int origin,
 
       for (auto& [orank, oe] : tr.open) {
         if (orank == origin || oe.mpi3) continue;
+        build_held(oe);
         if (oe.sets.conflict(kind, op, ulo, uhi, &hit))
           flag(ep.pending, classify(kind, hit, false, false), world_origin,
                what() + " conflicts with " + describe_hit(hit) +
@@ -354,6 +384,46 @@ void RmaChecker::record_op(std::uint64_t win, int target, int origin,
   }
 }
 
+bool RmaChecker::may_hold(const TargetRec& tr, const EpochRec& ep,
+                          int origin) {
+  if (ep.held || !ep.sets.empty() || !ep.ghosts.empty() ||
+      !tr.locals.empty())
+    return false;
+  for (const auto& [orank, oe] : tr.open)
+    if (orank != origin && !oe.mpi3) return false;
+  return true;
+}
+
+bool RmaChecker::hold(EpochRec& ep, OpKind kind, Op op, std::ptrdiff_t disp,
+                      std::span<const Segment> segs, const char* scope) {
+  auto& ranges = ep.held_ranges;
+  ranges.clear();
+  ranges.reserve(segs.size());
+  for (const Segment& seg : segs) {
+    const std::ptrdiff_t lo = disp + seg.offset;
+    const std::ptrdiff_t hi = lo + static_cast<std::ptrdiff_t>(seg.length);
+    if (lo >= hi) continue;
+    const auto ulo = static_cast<std::uintptr_t>(lo);
+    // Segments that overlap (or go back) could conflict with each other:
+    // only the eager path checks that.
+    if (!ranges.empty() && ulo <= ranges.back().second) return false;
+    ranges.emplace_back(ulo, static_cast<std::uintptr_t>(hi) - 1);
+  }
+  if (ranges.empty()) return true;  // nothing to record
+  ep.held = true;
+  ep.held_kind = kind;
+  ep.held_op = op;
+  ep.scope = scope;
+  return true;
+}
+
+void RmaChecker::build_held(EpochRec& ep) {
+  if (!ep.held) return;
+  ep.held = false;
+  ConflictTree& into = ep.sets.tree(ep.held_kind, ep.held_op);
+  for (const auto& [lo, hi] : ep.held_ranges) into.insert_merge(lo, hi);
+}
+
 void RmaChecker::local_begin(std::uint64_t win, int rank, int world_rank,
                              std::ptrdiff_t lo, std::ptrdiff_t hi, bool write,
                              bool covered, const char* scope) {
@@ -385,6 +455,7 @@ void RmaChecker::local_begin(std::uint64_t win, int rank, int world_rank,
     AccessHit hit;
     for (auto& [orank, oe] : tr.open) {
       if (oe.mpi3) continue;
+      build_held(oe);
       if (oe.sets.conflict(as_kind, Op::replace, ulo, uhi, &hit))
         flag(lrec.pending, RmaViolation::local, world_rank,
              what() + " conflicts with " + describe_hit(hit) +
@@ -452,6 +523,7 @@ void RmaChecker::shm_begin(std::uint64_t win, int target, int origin,
   AccessHit hit;
   for (auto& [orank, oe] : tr.open) {
     if (oe.mpi3 && orank == origin) continue;  // own standing lock_all epoch
+    build_held(oe);
     if (oe.sets.conflict(kind, op, ulo, uhi, &hit))
       flag(lrec.pending, RmaViolation::local, world_origin,
            what() + " conflicts with " + describe_hit(hit) +
@@ -481,6 +553,15 @@ void RmaChecker::shm_end(std::uint64_t win, int target, int origin,
   std::vector<Violation> pending = std::move(lit->second.pending);
   tit->second.locals.erase(lit);
   report(pending);
+}
+
+bool RmaChecker::op_held(std::uint64_t win, int target, int origin) const {
+  auto wit = wins_.find(win);
+  if (wit == wins_.end()) return false;
+  auto tit = wit->second.targets.find(target);
+  if (tit == wit->second.targets.end()) return false;
+  auto eit = tit->second.open.find(origin);
+  return eit != tit->second.open.end() && eit->second.held;
 }
 
 void RmaChecker::note_discipline(int world_rank) noexcept {

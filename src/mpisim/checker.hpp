@@ -32,9 +32,14 @@
 /// Interval bookkeeping reuses the conflict tree of paper §VI-B
 /// (conflict_tree.hpp; a blocked B+-tree where the paper has an AVL tree)
 /// via its union-building insert_merge(). A clean access pays only for
-/// that bookkeeping -- its conflict queries and one insert per segment,
-/// with no heap allocation per segment; diagnostic text is rendered only
-/// for a hit.
+/// that bookkeeping, and only once something can observe it: an epoch's
+/// first op is held unrecorded (kind, operator, ranges) while no other
+/// MPI-2 epoch, ghost or direct access could conflict with it, and its
+/// trees are built only when a second op, another origin, a direct access
+/// or a ghost handoff queries them -- so ARMCI's one-op exclusive epochs
+/// record nothing. A recorded access costs its conflict queries and one
+/// insert per segment, with no heap allocation once the epoch records are
+/// warm; diagnostic text is rendered only for a hit.
 ///
 /// Conflicts become structured diagnostics reported when the access epoch
 /// completes -- at unlock / flush / local_access_end -- as MPI-2 prescribes
@@ -223,7 +228,10 @@ class RmaChecker {
   /// covers [disp + s.offset, disp + s.offset + s.length). The epoch is
   /// looked up once; the segments are recorded and checked in order, so
   /// segments of one op that overlap each other conflict. Clean segments
-  /// render no diagnostic text.
+  /// render no diagnostic text. The first op of an epoch that nothing
+  /// else can observe is held instead of recorded (see may_hold()); every
+  /// query of the epoch's trees records it first, so diagnostics, counters
+  /// and raised errors are exactly those of recording it here.
   void record_op(std::uint64_t win, int target, int origin, int world_origin,
                  OpKind kind, Op op, std::ptrdiff_t disp,
                  std::span<const Segment> segs, const char* scope);
@@ -262,6 +270,10 @@ class RmaChecker {
   /// classified Errc itself); the checker only counts it. Lock-free.
   void note_discipline(int world_rank) noexcept;
 
+  /// True while epoch <win, target, origin> holds its first op back
+  /// unrecorded (see record_op). For tests of the deferred recording.
+  bool op_held(std::uint64_t win, int target, int origin) const;
+
   // ---- counters (lock-free reads) ----
 
   RmaCheckCounts counts(int world_rank) const noexcept;
@@ -293,6 +305,13 @@ class RmaChecker {
     AccessSet sets;
     std::vector<std::shared_ptr<const Ghost>> ghosts;
     std::vector<Violation> pending;
+    /// The epoch's first op, held back unrecorded while no other access
+    /// can observe it (see hold()): its kind, operator and inclusive target
+    /// ranges, in ascending order. build_held() records it into sets.
+    bool held = false;
+    OpKind held_kind = OpKind::get;
+    Op held_op = Op::replace;
+    std::vector<std::pair<std::uintptr_t, std::uintptr_t>> held_ranges;
   };
 
   struct LocalRec {
@@ -316,6 +335,9 @@ class RmaChecker {
   struct TargetRec {
     std::map<int, EpochRec> open;         ///< origin rank -> epoch
     std::map<LocalKey, LocalRec> locals;  ///< (accessor, offset) -> access
+    /// Closed epochs' records, reused by epoch_opened() with their map
+    /// nodes and buffers.
+    std::vector<std::map<int, EpochRec>::node_type> spare;
   };
 
   struct WinRec {
@@ -325,6 +347,22 @@ class RmaChecker {
   struct PerRankCounts {
     std::atomic<std::uint64_t> v[kRmaViolationCount] = {};
   };
+
+  /// May \p ep's next op be held back? Only its first op since it opened
+  /// or was flushed, with no ghosts, no other MPI-2 epoch open on the
+  /// target and no direct access open there: then no other access can
+  /// observe it, and recording it eagerly would flag nothing.
+  static bool may_hold(const TargetRec& tr, const EpochRec& ep, int origin);
+
+  /// Hold the op's target ranges in \p ep instead of recording them.
+  /// Returns false (holding nothing) when the segments do not ascend
+  /// without overlap: they might conflict with each other.
+  static bool hold(EpochRec& ep, OpKind kind, Op op, std::ptrdiff_t disp,
+                   std::span<const Segment> segs, const char* scope);
+
+  /// Record \p ep's held op into its trees, exactly as the eager path
+  /// would have. Every query of an epoch's sets calls this first.
+  static void build_held(EpochRec& ep);
 
   static RmaViolation classify(OpKind kind, const AccessHit& hit,
                                bool same_origin, bool local);

@@ -28,10 +28,20 @@ ConflictTree::Pos ConflictTree::find(std::uintptr_t lo) const {
           static_cast<std::size_t>(rit - bit->ranges.begin())};
 }
 
+std::vector<ConflictTree::Range> ConflictTree::take_spare() {
+  const std::size_t parked = spare_.size() + blocks_.size() + 1;
+  if (spare_.capacity() < parked) spare_.reserve(2 * parked);
+  if (spare_.empty()) return {};
+  std::vector<Range> out = std::move(spare_.back());
+  spare_.pop_back();
+  return out;
+}
+
 void ConflictTree::insert_at(Pos p, Range r) {
   ++size_;
   if (blocks_.empty()) {
-    blocks_.push_back(Block{r.hi, {r}});
+    blocks_.push_back(Block{r.hi, take_spare()});
+    blocks_.back().ranges.push_back(r);
     return;
   }
   if (blocks_[p.b].ranges.size() == kBlockCapacity) {
@@ -40,6 +50,7 @@ void ConflictTree::insert_at(Pos p, Range r) {
     const std::size_t cut = p.i == kBlockCapacity ? p.i : kBlockCapacity / 2;
     std::vector<Range>& full = blocks_[p.b].ranges;
     Block tail;
+    tail.ranges = take_spare();
     tail.ranges.reserve(kBlockCapacity);
     tail.ranges.assign(full.begin() + static_cast<std::ptrdiff_t>(cut),
                        full.end());
@@ -150,6 +161,11 @@ bool ConflictTree::overlapping(std::uintptr_t lo, std::uintptr_t hi,
 }
 
 void ConflictTree::clear() noexcept {
+  // take_spare() reserved a slot for every live block: no allocation here.
+  for (Block& b : blocks_) {
+    b.ranges.clear();
+    spare_.push_back(std::move(b.ranges));
+  }
   blocks_.clear();
   size_ = 0;
 }

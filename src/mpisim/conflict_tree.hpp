@@ -49,11 +49,15 @@ class ConflictTree {
   ConflictTree() = default;
   /// A moved-from tree is empty.
   ConflictTree(ConflictTree&& o) noexcept
-      : blocks_(std::move(o.blocks_)), size_(std::exchange(o.size_, 0)) {}
+      : blocks_(std::move(o.blocks_)),
+        spare_(std::move(o.spare_)),
+        size_(std::exchange(o.size_, 0)) {}
   ConflictTree& operator=(ConflictTree&& o) noexcept {
     if (this != &o) {
       blocks_ = std::move(o.blocks_);
       o.blocks_.clear();
+      spare_ = std::move(o.spare_);
+      o.spare_.clear();
       size_ = std::exchange(o.size_, 0);
     }
     return *this;
@@ -102,7 +106,9 @@ class ConflictTree {
 
   bool empty() const noexcept { return size_ == 0; }
 
-  /// Remove all ranges.
+  /// Remove all ranges. The blocks' buffers are kept for the blocks the
+  /// tree opens next, so a tree that is filled and cleared over and over
+  /// (an nb queue, a checker epoch) stops allocating once warm.
   void clear() noexcept;
 
   /// Number of blocks (diagnostics).
@@ -140,10 +146,16 @@ class ConflictTree {
   }
   /// Insert \p r at \p p, splitting a full block first.
   void insert_at(Pos p, Range r);
+
+  /// An empty range buffer for a block about to be opened: a spare one
+  /// when clear() left some. Reserves room in spare_ for every live block
+  /// plus the new one, so clear() can park them all without allocating.
+  std::vector<Range> take_spare();
   /// insert_merge (touching == false) and insert_coalesce (true).
   void absorb(std::uintptr_t lo, std::uintptr_t hi, bool touching);
 
   std::vector<Block> blocks_;
+  std::vector<std::vector<Range>> spare_;  ///< emptied, capacity kept
   std::size_t size_ = 0;
 };
 

@@ -263,8 +263,13 @@ void Datatype::walk_runs(std::size_t count, RunVisitor v) const {
 
 std::vector<Segment> Datatype::flatten(std::size_t count) const {
   std::vector<Segment> out;
-  for_each_segment(count, [&out](Segment s) { out.push_back(s); });
+  flatten(count, out);
   return out;
+}
+
+void Datatype::flatten(std::size_t count, std::vector<Segment>& out) const {
+  out.clear();
+  for_each_segment(count, [&out](Segment s) { out.push_back(s); });
 }
 
 void Datatype::pack(const void* base, std::size_t count, void* out) const {

@@ -110,8 +110,14 @@ class Datatype {
                          }});
   }
 
-  /// Flatten \p count instances into an explicit segment list.
+  /// Flatten \p count instances into an explicit segment list: exactly
+  /// for_each_segment()'s runs, in layout order.
   std::vector<Segment> flatten(std::size_t count) const;
+
+  /// flatten() into \p out, replacing its contents and reusing its
+  /// capacity: a warm buffer flattens without allocating (Win::rma_op
+  /// keeps one per rank and side).
+  void flatten(std::size_t count, std::vector<Segment>& out) const;
 
   /// Gather \p count instances from \p base into the contiguous buffer
   /// \p out (which must hold count * size() bytes).

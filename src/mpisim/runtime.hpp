@@ -147,6 +147,11 @@ class RankContext {
   /// MPI_Comm_failure_ack semantics), then proceed.
   std::uint64_t acked_death_epoch = 0;
 
+  /// Win::rma_op's origin- and target-side segment buffers, reused across
+  /// operations so a steady RMA stream flattens without allocating.
+  std::vector<Segment> rma_osegs;
+  std::vector<Segment> rma_tsegs;
+
  private:
   SimCore* core_;
   int rank_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <span>
 
 #include "src/mpisim/checker.hpp"
 #include "src/mpisim/error.hpp"
@@ -25,7 +26,12 @@ constexpr int kLockAll = -2;
 /// Per-target lock and epoch state.
 struct TargetState {
   std::map<int, Epoch> open;  // origin comm rank -> epoch
-  std::deque<std::pair<int, LockType>> waiters;
+  // Closed epochs' map nodes, reused by grant_locked: a lock/unlock stream
+  // allocates nothing once warm.
+  std::vector<std::map<int, Epoch>::node_type> spare;
+  // Queued lock requests, FIFO. Rarely more than a few, so a vector (whose
+  // capacity a lock/unlock stream reuses) beats a deque's chunk churn.
+  std::vector<std::pair<int, LockType>> waiters;
   double busy_until_ns = 0.0;  // virtual end of the last exclusive epoch
 };
 
@@ -87,15 +93,21 @@ void grant_locked(SimCore& core, WinImpl& w, int target) {
     } else {
       if (has_exclusive) return;
     }
-    Epoch ep;
-    ep.type = type;
-    ts.open.emplace(origin, ep);
+    auto eit = ts.open.end();
+    if (ts.spare.empty()) {
+      eit = ts.open.try_emplace(origin).first;
+    } else {
+      ts.spare.back().key() = origin;
+      eit = ts.open.insert(std::move(ts.spare.back())).position;
+      ts.spare.pop_back();
+    }
+    eit->second = Epoch{type, 0};
     core.checker().epoch_opened(w.id, target, origin,
                                 type == LockType::exclusive);
     const int origin_world = w.comm.group().world_rank(origin);
     core.hb().lock_granted(w.id, target, origin_world,
                            type == LockType::exclusive);
-    ts.waiters.pop_front();
+    ts.waiters.erase(ts.waiters.begin());
     core.poke(origin_world);
   }
 }
@@ -183,18 +195,28 @@ EpochPipeline* EpochPipeline::active() noexcept { return g_active_pipeline; }
 void EpochPipeline::defer_round_trip(std::uint64_t win_id, int target_rank,
                                      double ns) {
   if (ns <= 0.0) return;
-  for (Chain& c : chains_) {
-    if (c.win_id == win_id && c.target_rank == target_rank) {
-      c.ns += ns;
-      return;
-    }
+  const auto same = [&](const Chain& c) {
+    return c.win_id == win_id && c.target_rank == target_rank;
+  };
+  const std::span<Chain> held(chains_.data(), nchains_);
+  if (auto it = std::find_if(held.begin(), held.end(), same);
+      it != held.end()) {
+    it->ns += ns;
+  } else if (auto ot = std::find_if(overflow_.begin(), overflow_.end(), same);
+             ot != overflow_.end()) {
+    ot->ns += ns;
+  } else if (nchains_ < kInlineChains) {
+    chains_[nchains_++] = Chain{win_id, target_rank, ns};
+  } else {
+    overflow_.push_back(Chain{win_id, target_rank, ns});
   }
-  chains_.push_back(Chain{win_id, target_rank, ns});
 }
 
 double EpochPipeline::pending_ns() const noexcept {
   double mx = 0.0;
-  for (const Chain& c : chains_) mx = std::max(mx, c.ns);
+  for (const Chain& c : std::span(chains_.data(), nchains_))
+    mx = std::max(mx, c.ns);
+  for (const Chain& c : overflow_) mx = std::max(mx, c.ns);
   return mx;
 }
 
@@ -437,7 +459,7 @@ void Win::unlock(int target_rank) const {
   me.tracer().begin(TraceCat::window, "win.unlock", w.id);
   const bool was_exclusive = it->second.type == LockType::exclusive;
   core.hb().lock_released(w.id, target_rank, me.rank(), was_exclusive);
-  ts.open.erase(it);
+  ts.spare.push_back(ts.open.extract(it));
   w.locked_target[static_cast<std::size_t>(myrank)] = -1;
 
   detail::charge_round_trip(me, w, target_rank, core.model().unlock_ns());
@@ -756,8 +778,11 @@ void Win::rma_op(OpKind kind, const void* origin, std::size_t origin_count,
 
   // Datatypes are immutable, so both segment lists are built before the
   // global lock: the critical section below only checks, copies and charges.
-  const std::vector<Segment> osegs = origin_type.flatten(origin_count);
-  const std::vector<Segment> tsegs = target_type.flatten(target_count);
+  // They go into the rank's reused buffers (nothing here re-enters rma_op).
+  std::vector<Segment>& osegs = me.rma_osegs;
+  std::vector<Segment>& tsegs = me.rma_tsegs;
+  origin_type.flatten(origin_count, osegs);
+  target_type.flatten(target_count, tsegs);
 
   std::unique_lock lk(core.mu());
   core.check_failed_locked();

@@ -29,8 +29,8 @@
 /// segment, serialization at the modeled MPI RMA bandwidth, and (on
 /// registration-managed platforms) on-demand pinning of the local buffer.
 
+#include <array>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <vector>
@@ -90,7 +90,12 @@ class EpochPipeline {
     int target_rank = -1;
     double ns = 0.0;
   };
-  std::vector<Chain> chains_;
+  /// Chains live in place up to this many targets (a GA patch's owners),
+  /// so opening a scope allocates nothing; more spill into overflow_.
+  static constexpr std::size_t kInlineChains = 8;
+  std::array<Chain, kInlineChains> chains_{};
+  std::size_t nchains_ = 0;
+  std::vector<Chain> overflow_;
   EpochPipeline* prev_ = nullptr;
 };
 

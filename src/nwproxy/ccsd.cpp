@@ -70,12 +70,12 @@ void run_ccsd_task(const CcsdParams& p, const Amplitudes& t2,
   // contracting the current one, so its per-owner batches sit deferred
   // through the contraction and complete -- epochs overlapped across
   // owners -- at the next wait instead of serializing get-then-compute.
+  ga::Patch patch{{0, 0}, {rows - 1, 0}};  // every tile's rows; cols vary
   auto issue_tile = [&](std::int64_t kt, std::vector<double>& buf) {
     const auto [klo, khi] = t2.tile_cols(kt);
     buf.resize(static_cast<std::size_t>(rows * (khi - klo + 1)));
-    ga::Patch patch;
-    patch.lo = {0, klo};
-    patch.hi = {rows - 1, khi};
+    patch.lo[1] = klo;
+    patch.hi[1] = khi;
     return t2.array().nb_get(patch, buf.data());
   };
 
@@ -199,6 +199,7 @@ PhaseResult run_triples(const CcsdParams& p, const Amplitudes& t2) {
   std::vector<double> b2(static_cast<std::size_t>(cols));
   std::vector<double> b3(static_cast<std::size_t>(cols));
   double local_e = 0.0;
+  ga::Patch row{{0, 0}, {0, cols - 1}};  // one whole row; fetch_row moves it
 
   pacer.enter();
   std::int64_t start = 0;
@@ -214,10 +215,8 @@ PhaseResult run_triples(const CcsdParams& p, const Amplitudes& t2) {
       // engine overlaps the rows' epochs when they live on different owners.
       auto fetch_row = [&](std::int64_t a, std::int64_t b,
                            std::vector<double>& buf) {
-        ga::Patch patch;
-        patch.lo = {a * p.no + b, 0};
-        patch.hi = {a * p.no + b, cols - 1};
-        return t2.array().nb_get(patch, buf.data());
+        row.lo[0] = row.hi[0] = a * p.no + b;
+        return t2.array().nb_get(row, buf.data());
       };
       armci::Request rows_req = fetch_row(i, j, b1);
       rows_req.merge(fetch_row(j, k, b2));

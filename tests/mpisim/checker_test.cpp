@@ -779,6 +779,143 @@ TEST(CheckerGolden, StridedPutThroughTheWindow) {
   });
 }
 
+// ---- Deferred recording ----
+//
+// An epoch's first op is held back unrecorded while no other access can
+// observe it. Each test below starts from such a held op, then makes the
+// checker look at it; the raised text must be byte-identical to what
+// recording every op eagerly produced (the golden tests above).
+
+TEST(CheckerDeferred, SecondOpInTheEpochBuildsTheHeldOp) {
+  RmaChecker chk(RmaCheck::abort, 2);
+  chk.epoch_opened(3, 1, 0, /*exclusive=*/true);
+  chk.record_op(3, 1, 0, 0, Kind::put, Op::replace, 0, 16, "ga.put");
+  EXPECT_TRUE(chk.op_held(3, 1, 0));
+  chk.record_op(3, 1, 0, 0, Kind::put, Op::replace, 8, 24, "ga.put");
+  EXPECT_FALSE(chk.op_held(3, 1, 0));
+  EXPECT_EQ(raised([&] { chk.epoch_closing(3, 1, 0); }),
+            "[rma_conflict] mpisim: put on bytes [8, 24) of rank 1 (win 3, "
+            "epoch #1 by origin 0, in ga.put) conflicts with a put to bytes "
+            "[0, 16) recorded earlier in the same epoch");
+  EXPECT_EQ(chk.counts(0).same_origin, 1u);
+}
+
+TEST(CheckerDeferred, ConcurrentEpochBuildsTheHeldOp) {
+  RmaChecker chk(RmaCheck::abort, 2);
+  chk.epoch_opened(3, 0, 0, false);
+  chk.record_op(3, 0, 0, 0, Kind::get, Op::sum, 0, 8, "armci.get");
+  EXPECT_TRUE(chk.op_held(3, 0, 0));
+  chk.epoch_opened(3, 0, 1, false);
+  chk.record_op(3, 0, 1, 1, Kind::put, Op::replace, 4, 12, nullptr);
+  EXPECT_FALSE(chk.op_held(3, 0, 0));
+  EXPECT_FALSE(chk.op_held(3, 0, 1));  // another MPI-2 epoch is open
+  chk.epoch_closing(3, 0, 0);  // the reader is clean
+  EXPECT_EQ(raised([&] { chk.epoch_closing(3, 0, 1); }),
+            "[rma_conflict] mpisim: put on bytes [4, 12) of rank 0 (win 3, "
+            "epoch #2 by origin 1) conflicts with a get of bytes [0, 8) by "
+            "concurrent epoch #1 of origin 0, in armci.get");
+  EXPECT_EQ(chk.counts(1).concurrent, 1u);
+}
+
+TEST(CheckerDeferred, UncoveredLocalStoreBuildsTheHeldOp) {
+  RmaChecker chk(RmaCheck::abort, 2);
+  chk.epoch_opened(3, 0, 1, false);
+  chk.record_op(3, 0, 1, 1, Kind::put, Op::replace, 0, 16, "armci.put");
+  EXPECT_TRUE(chk.op_held(3, 0, 1));
+  chk.local_begin(3, 0, 0, 8, 24, /*write=*/true, /*covered=*/false,
+                  "app.store");
+  EXPECT_FALSE(chk.op_held(3, 0, 1));
+  EXPECT_EQ(raised([&] { chk.local_end(3, 0, 8); }),
+            "[rma_conflict] mpisim: direct local store to bytes [8, 24) on "
+            "rank 0 (win 3, no exclusive self-epoch, in app.store) conflicts "
+            "with a put to bytes [0, 16) by open epoch #1 of origin 1, in "
+            "armci.put");
+  EXPECT_EQ(chk.counts(0).local, 1u);
+  chk.epoch_closing(3, 0, 1);
+}
+
+TEST(CheckerDeferred, ShmAccessBuildsTheHeldOp) {
+  RmaChecker chk(RmaCheck::abort, 3);
+  chk.epoch_opened(3, 1, 0, false);
+  chk.record_op(3, 1, 0, 0, Kind::put, Op::replace, 0, 12, "armci.put");
+  EXPECT_TRUE(chk.op_held(3, 1, 0));
+  chk.shm_begin(3, 1, 2, 2, Kind::acc, Op::sum, 8, 16, "armci.acc");
+  EXPECT_FALSE(chk.op_held(3, 1, 0));
+  EXPECT_EQ(raised([&] { chk.shm_end(3, 1, 2, 8); }),
+            "[rma_conflict] mpisim: direct shared-memory accumulate to bytes "
+            "[8, 16) on rank 1 (win 3, by rank 2, no epoch, in armci.acc) "
+            "conflicts with a put to bytes [0, 12) by open epoch #1 of "
+            "origin 0, in armci.put");
+  EXPECT_EQ(chk.counts(2).local, 1u);
+  chk.epoch_closing(3, 1, 0);
+}
+
+TEST(CheckerDeferred, GhostHandoffBuildsTheHeldOp) {
+  RmaChecker chk(RmaCheck::abort, 2);
+  chk.epoch_opened(3, 0, 0, false);
+  chk.record_op(3, 0, 0, 0, Kind::put, Op::replace, 16, 32, "armci.put");
+  chk.epoch_opened(3, 0, 1, false);
+  EXPECT_TRUE(chk.op_held(3, 0, 0));  // nothing has looked at it yet
+  chk.epoch_closing(3, 0, 0);  // leaves its summary with epoch #2
+  chk.record_op(3, 0, 1, 1, Kind::get, Op::sum, 24, 40, "armci.get");
+  EXPECT_EQ(raised([&] { chk.epoch_closing(3, 0, 1); }),
+            "[rma_conflict] mpisim: get on bytes [24, 40) of rank 0 (win 3, "
+            "epoch #2 by origin 1, in armci.get) conflicts with a put to "
+            "bytes [16, 32) by closed concurrent epoch #1 of origin 0, in "
+            "armci.put");
+  EXPECT_EQ(chk.counts(1).concurrent, 1u);
+}
+
+TEST(CheckerDeferred, ClosingAloneDropsTheHeldOp) {
+  RmaChecker chk(RmaCheck::abort, 2);
+  chk.epoch_opened(3, 0, 0, true);
+  chk.record_op(3, 0, 0, 0, Kind::put, Op::replace, 0, 16, nullptr);
+  EXPECT_TRUE(chk.op_held(3, 0, 0));
+  chk.epoch_closing(3, 0, 0);  // nobody was concurrent: no ghost
+  // A later epoch on the same bytes is ordered after it: clean.
+  chk.epoch_opened(3, 0, 1, true);
+  chk.record_op(3, 0, 1, 1, Kind::put, Op::replace, 0, 16, nullptr);
+  chk.record_op(3, 0, 1, 1, Kind::get, Op::sum, 32, 48, nullptr);
+  chk.epoch_closing(3, 0, 1);
+  EXPECT_EQ(chk.total_counts().total(), 0u);
+}
+
+TEST(CheckerDeferred, FlushDropsTheHeldOp) {
+  RmaChecker chk(RmaCheck::abort, 2);
+  chk.epoch_opened(3, 1, 0, true);
+  chk.record_op(3, 1, 0, 0, Kind::put, Op::replace, 0, 16, nullptr);
+  EXPECT_TRUE(chk.op_held(3, 1, 0));
+  chk.epoch_flushed(3, 1, 0);
+  EXPECT_FALSE(chk.op_held(3, 1, 0));
+  // The flush ordered the held put before everything after it, so the
+  // overlapping put is clean -- and is itself the new tracking unit's
+  // first op.
+  chk.record_op(3, 1, 0, 0, Kind::put, Op::replace, 8, 24, nullptr);
+  EXPECT_TRUE(chk.op_held(3, 1, 0));
+  chk.epoch_closing(3, 1, 0);
+  EXPECT_EQ(chk.counts(0).total(), 0u);
+}
+
+TEST(CheckerDeferred, SelfOverlappingOpIsNeverHeld) {
+  RmaChecker chk(RmaCheck::abort, 2);
+  chk.epoch_opened(3, 1, 0, true);
+  const Segment twice[2] = {{0, 16}, {8, 16}};
+  chk.record_op(3, 1, 0, 0, Kind::put, Op::replace, 0, twice, nullptr);
+  EXPECT_FALSE(chk.op_held(3, 1, 0));
+  EXPECT_EQ(raised([&] { chk.epoch_closing(3, 1, 0); }),
+            "[rma_conflict] mpisim: put on bytes [8, 24) of rank 1 (win 3, "
+            "epoch #1 by origin 0) conflicts with a put to bytes [0, 16) "
+            "recorded earlier in the same epoch");
+  // Segments that go back without overlapping are recorded eagerly too,
+  // and are clean.
+  chk.epoch_opened(3, 1, 0, true);
+  const Segment back[2] = {{16, 8}, {0, 8}};
+  chk.record_op(3, 1, 0, 0, Kind::put, Op::replace, 0, back, nullptr);
+  EXPECT_FALSE(chk.op_held(3, 1, 0));
+  chk.epoch_closing(3, 1, 0);
+  EXPECT_EQ(chk.counts(0).same_origin, 1u);
+}
+
 TEST(CheckerTest, ViolationAndModeNamesAreStable) {
   EXPECT_STREQ(rma_check_name(RmaCheck::off), "off");
   EXPECT_STREQ(rma_check_name(RmaCheck::warn), "warn");
