@@ -1,9 +1,14 @@
 #include "src/armci/metrics.hpp"
 
+#include <algorithm>
 #include <bit>
+#include <charconv>
 #include <cmath>
 #include <cstdarg>
 #include <cstdio>
+#include <iterator>
+#include <limits>
+#include <string_view>
 
 #include "src/armci/state.hpp"
 #include "src/mpisim/runtime.hpp"
@@ -12,16 +17,10 @@
 namespace armci {
 
 const char* op_class_name(OpClass c) noexcept {
-  switch (c) {
-    case OpClass::put: return "put";
-    case OpClass::get: return "get";
-    case OpClass::acc: return "acc";
-    case OpClass::strided: return "strided";
-    case OpClass::iov: return "iov";
-    case OpClass::rmw: return "rmw";
-    case OpClass::mutex: return "mutex";
-  }
-  return "?";
+  static constexpr const char* kNames[] = {
+      ARMCI_OP_CLASSES(MPISIM_COUNTER_NAME)};
+  const auto i = static_cast<std::size_t>(c);
+  return i < std::size(kNames) ? kNames[i] : "?";
 }
 
 namespace {
@@ -93,86 +92,70 @@ OpTimer::~OpTimer() {
 
 namespace {
 
+/// Appends printf-formatted text of any length.
 void append(std::string& out, const char* fmt, ...) {
-  char buf[512];
-  va_list ap;
+  va_list ap, again;
   va_start(ap, fmt);
-  std::vsnprintf(buf, sizeof buf, fmt, ap);
+  va_copy(again, ap);
+  const int n = std::vsnprintf(nullptr, 0, fmt, ap);
+  const std::size_t at = out.size();
+  out.resize(at + static_cast<std::size_t>(n) + 1);
+  std::vsnprintf(out.data() + at, out.size() - at, fmt, again);
+  out.pop_back();  // vsnprintf's terminating NUL
+  va_end(again);
   va_end(ap);
-  out += buf;
 }
+
+/// Appends `"key":v,`. end_object() turns the last comma into a `}`.
+void put(std::string& out, std::string_view key, std::uint64_t v) {
+  out.append("\"").append(key).append("\":");
+  const std::size_t at = out.size();
+  out.resize(at + std::numeric_limits<std::uint64_t>::digits10 + 1);
+  const auto r = std::to_chars(out.data() + at, out.data() + out.size(), v);
+  out.resize(static_cast<std::size_t>(r.ptr - out.data()));
+  out += ',';
+}
+
+/// Ends the object whose last field put() wrote, ready for the next one.
+void end_object(std::string& out) {
+  out.back() = '}';
+  out += ',';
+}
+
+constexpr struct {
+  std::string_view object, key;
+  std::uint64_t Stats::*field;
+} kStatsEntries[] = {
+#define ARMCI_STATS_ENTRY(object, field) {#object, #field, &Stats::field},
+    ARMCI_STATS_COUNTERS(ARMCI_STATS_ENTRY)
+#undef ARMCI_STATS_ENTRY
+};
 
 }  // namespace
 
+// Writes counter `name` of the snapshot named `counts` in scope.
+#define ARMCI_PUT_COUNT(name) put(out, #name, counts.name);
+
 std::string metrics_json() {
   ProcState& st = state();
-  const Stats& s = stats();  // syncs rma_conflicts from the checker
-  (void)st;
+  const Stats& s = stats();  // syncs rma_conflicts/rma_races from checkers
   const mpisim::Tracer& tr = mpisim::tracer();
 
   std::string out;
   out.reserve(2048);
   append(out, "{\"schema\":\"armci-metrics-v1\",\"rank\":%d,", mpisim::rank());
 
-  // Flat operation counters (stats.hpp).
-  append(out,
-         "\"counters\":{\"puts\":%llu,\"gets\":%llu,\"accs\":%llu,"
-         "\"put_bytes\":%llu,\"get_bytes\":%llu,\"acc_bytes\":%llu,"
-         "\"strided_ops\":%llu,\"strided_bytes\":%llu,"
-         "\"iov_ops\":%llu,\"iov_bytes\":%llu,\"iov_segments\":%llu,"
-         "\"rmws\":%llu,\"mutex_locks\":%llu,\"fences\":%llu,"
-         "\"barriers\":%llu,\"allocations\":%llu,\"frees\":%llu,"
-         "\"dla_epochs\":%llu,\"staged_local_copies\":%llu,"
-         "\"transient_faults\":%llu,\"retries\":%llu,"
-         "\"retry_exhausted\":%llu,\"rma_conflicts\":%llu,",
-         (unsigned long long)s.puts, (unsigned long long)s.gets,
-         (unsigned long long)s.accs, (unsigned long long)s.put_bytes,
-         (unsigned long long)s.get_bytes, (unsigned long long)s.acc_bytes,
-         (unsigned long long)s.strided_ops,
-         (unsigned long long)s.strided_bytes, (unsigned long long)s.iov_ops,
-         (unsigned long long)s.iov_bytes, (unsigned long long)s.iov_segments,
-         (unsigned long long)s.rmws, (unsigned long long)s.mutex_locks,
-         (unsigned long long)s.fences, (unsigned long long)s.barriers,
-         (unsigned long long)s.allocations, (unsigned long long)s.frees,
-         (unsigned long long)s.dla_epochs,
-         (unsigned long long)s.staged_local_copies,
-         (unsigned long long)s.transient_faults, (unsigned long long)s.retries,
-         (unsigned long long)s.retry_exhausted,
-         (unsigned long long)s.rma_conflicts);
-  // Second half of "counters": nonblocking aggregation, datatype cache, and
-  // GA owner pipelining (split across two append calls; one would overflow
-  // its buffer).
-  append(out,
-         "\"nb_ops\":%llu,\"nb_deferred\":%llu,\"nb_eager\":%llu,"
-         "\"nb_conflict_flushes\":%llu,\"flushed_queues\":%llu,"
-         "\"coalesced_epochs\":%llu,\"dt_cache_hits\":%llu,"
-         "\"dt_cache_misses\":%llu,\"ga_multi_owner_ops\":%llu,"
-         "\"ga_owner_fanout\":%llu,\"ga_nb_batches\":%llu,",
-         (unsigned long long)s.nb_ops, (unsigned long long)s.nb_deferred,
-         (unsigned long long)s.nb_eager,
-         (unsigned long long)s.nb_conflict_flushes,
-         (unsigned long long)s.flushed_queues,
-         (unsigned long long)s.coalesced_epochs,
-         (unsigned long long)s.dt_cache_hits,
-         (unsigned long long)s.dt_cache_misses,
-         (unsigned long long)s.ga_multi_owner_ops,
-         (unsigned long long)s.ga_owner_fanout,
-         (unsigned long long)s.ga_nb_batches);
-  // Locality classification of contiguous op targets (third append call:
-  // the previous format string is near its 512-byte buffer).
-  append(out,
-         "\"ops_self\":%llu,\"ops_same_node\":%llu,\"ops_remote\":%llu,"
-         "\"failovers\":%llu,\"replica_writes\":%llu},",
-         (unsigned long long)s.ops_self, (unsigned long long)s.ops_same_node,
-         (unsigned long long)s.ops_remote, (unsigned long long)s.failovers,
-         (unsigned long long)s.replica_writes);
-
-  // Active-message layer (src/am): delegate traffic and terminations.
-  append(out,
-         "\"am\":{\"am_sent\":%llu,\"am_served\":%llu,"
-         "\"am_terminations\":%llu},",
-         (unsigned long long)s.am_sent, (unsigned long long)s.am_served,
-         (unsigned long long)s.am_terminations);
+  // Stats counters (stats.hpp): the "counters" and "am" objects.
+  std::string_view object;
+  for (const auto& e : kStatsEntries) {
+    if (e.object != object) {
+      if (!object.empty()) end_object(out);
+      object = e.object;
+      out.append("\"").append(object).append("\":{");
+    }
+    put(out, e.key, s.*e.field);
+  }
+  end_object(out);
 
   // Per-op-class virtual-time latency summaries.
   out += "\"ops\":{";
@@ -191,59 +174,44 @@ std::string metrics_json() {
   // Per-window lock/epoch counters, annotated with the owning GMR where
   // one is still live (mutex-set windows report with "gmr_id":null).
   out += "\"windows\":[";
-  bool first = true;
-  for (const auto& [win_id, ws] : tr.win_stats()) {
-    long long gmr_id = -1;
-    for (const auto& gmr : st.table.all()) {
-      if (gmr->win.valid() && gmr->win.id() == win_id) {
-        gmr_id = static_cast<long long>(gmr->id);
-        break;
-      }
-    }
-    append(out, "%s{\"win_id\":%llu,", first ? "" : ",",
-           (unsigned long long)win_id);
-    if (gmr_id >= 0)
-      append(out, "\"gmr_id\":%lld,", gmr_id);
+  for (const auto& [win_id, counts] : tr.win_stats()) {
+    out += '{';
+    put(out, "win_id", win_id);
+    const auto& gmrs = st.table.all();
+    const auto owner = std::find_if(gmrs.begin(), gmrs.end(), [&](auto& g) {
+      return g->win.valid() && g->win.id() == win_id;
+    });
+    if (owner != gmrs.end())
+      put(out, "gmr_id", (*owner)->id);
     else
       out += "\"gmr_id\":null,";
-    append(out,
-           "\"exclusive_locks\":%llu,\"shared_locks\":%llu,"
-           "\"lock_alls\":%llu,\"flushes\":%llu,\"epochs\":%llu}",
-           (unsigned long long)ws.exclusive_locks,
-           (unsigned long long)ws.shared_locks,
-           (unsigned long long)ws.lock_alls, (unsigned long long)ws.flushes,
-           (unsigned long long)ws.epochs);
-    first = false;
+    MPISIM_WIN_STATS(ARMCI_PUT_COUNT)
+    end_object(out);
   }
+  if (out.back() == ',') out.pop_back();
   out += "],";
 
   // RMA validity checker (mpisim checker.hpp): mode and this rank's
   // violation counters by class. All zero on a correct run.
   {
     const mpisim::RmaChecker& chk = mpisim::ctx().core().checker();
-    const mpisim::RmaCheckCounts c = chk.counts(mpisim::rank());
-    append(out,
-           "\"rma_check\":{\"mode\":\"%s\",\"same_origin\":%llu,"
-           "\"concurrent\":%llu,\"acc_mix\":%llu,\"local\":%llu,"
-           "\"discipline\":%llu},",
-           mpisim::rma_check_name(chk.mode()),
-           (unsigned long long)c.same_origin, (unsigned long long)c.concurrent,
-           (unsigned long long)c.acc_mix, (unsigned long long)c.local,
-           (unsigned long long)c.discipline);
+    const mpisim::RmaCheckCounts counts = chk.counts(mpisim::rank());
+    append(out, "\"rma_check\":{\"mode\":\"%s\",",
+           mpisim::rma_check_name(chk.mode()));
+    MPISIM_RMA_VIOLATIONS(ARMCI_PUT_COUNT)
+    end_object(out);
   }
 
   // Happens-before race detector (mpisim hb.hpp, MPISIM_RMA_CHECK=race):
   // this rank's race counters by class, plus summaries dropped by the
   // shadow-store cap. All zero on a correctly synchronized run.
   {
-    const mpisim::HbRaceCounts r =
+    const mpisim::HbRaceCounts counts =
         mpisim::ctx().core().hb().counts(mpisim::rank());
-    append(out,
-           "\"rma_race\":{\"ww\":%llu,\"rw\":%llu,\"acc_mix\":%llu,"
-           "\"shm\":%llu,\"dead_origin\":%llu,\"overflow\":%llu},",
-           (unsigned long long)r.ww, (unsigned long long)r.rw,
-           (unsigned long long)r.acc_mix, (unsigned long long)r.shm,
-           (unsigned long long)r.dead_origin, (unsigned long long)r.overflow);
+    out += "\"rma_race\":{";
+    MPISIM_HB_RACES(ARMCI_PUT_COUNT)
+    put(out, "overflow", counts.overflow);
+    end_object(out);
   }
 
   // Survivable-mode recovery gauge: virtual time between the most recently
@@ -270,5 +238,7 @@ std::string metrics_json() {
          (unsigned long long)tr.dropped());
   return out;
 }
+
+#undef ARMCI_PUT_COUNT
 
 }  // namespace armci

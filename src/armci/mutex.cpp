@@ -59,6 +59,22 @@ void QueueingMutexSet::clear_holder_if(int m, int host, std::uint8_t expected) {
   eg.release();
 }
 
+void QueueingMutexSet::set_flag(int m, int host, std::uint8_t flag) {
+  const int n = comm_.size();
+  const int me = comm_.rank();
+  const std::size_t row = static_cast<std::size_t>(m) *
+                              (static_cast<std::size_t>(n) + 1);
+  snapshot_.assign(static_cast<std::size_t>(n), 0);
+  EpochGuard eg(win_, LockType::exclusive, host);
+  win_.put(&flag, 1, host, row + static_cast<std::size_t>(me));
+  if (me > 0)
+    win_.get(snapshot_.data(), static_cast<std::size_t>(me), host, row);
+  if (me < n - 1)
+    win_.get(snapshot_.data() + me + 1, static_cast<std::size_t>(n - 1 - me),
+             host, row + static_cast<std::size_t>(me) + 1);
+  eg.release();
+}
+
 void QueueingMutexSet::lock(int m, int host) {
   if (m < 0 || m >= count_)
     mpisim::raise(Errc::invalid_argument, "mutex index out of range");
@@ -70,26 +86,12 @@ void QueueingMutexSet::lock(int m, int host) {
   const std::size_t stride = static_cast<std::size_t>(n) + 1;
   const std::size_t row = static_cast<std::size_t>(m) * stride;
 
-  // One exclusive epoch: set B[me] = 1 and fetch every other entry (plus,
-  // in survivable mode, the holder byte). The put and the gets touch
-  // disjoint bytes, so this is a legal epoch.
-  std::vector<std::uint8_t> others(static_cast<std::size_t>(n), 0);
-  const std::uint8_t one = 1;
-  {
-    EpochGuard eg(win_, LockType::exclusive, host);
-    win_.put(&one, 1, host, row + static_cast<std::size_t>(me));
-    if (me > 0)
-      win_.get(others.data(), static_cast<std::size_t>(me), host, row);
-    if (me < n - 1)
-      win_.get(others.data() + me + 1, static_cast<std::size_t>(n - 1 - me),
-               host, row + static_cast<std::size_t>(me) + 1);
-    eg.release();
-  }
+  set_flag(m, host, 1);
 
   bool contended = false;
   int dead_seen = -1;
   for (int i = 0; i < n; ++i) {
-    if (i == me || others[static_cast<std::size_t>(i)] == 0) continue;
+    if (snapshot_[static_cast<std::size_t>(i)] == 0) continue;
     // A dead rank's request flag is permanent litter; it must not make us
     // wait for a token that can never arrive.
     if (surv && comm_.is_failed(i)) {
@@ -134,13 +136,14 @@ void QueueingMutexSet::lock(int m, int host) {
     // A peer died while we were queued. Refetch the row to learn whether
     // the dead rank held this mutex; epochs are serialized, so every woken
     // waiter sees a consistent snapshot.
-    std::vector<std::uint8_t> rowbuf(stride, 0);
+    snapshot_.assign(stride, 0);
     {
       EpochGuard eg(win_, LockType::exclusive, host);
-      win_.get(rowbuf.data(), stride, host, row);
+      win_.get(snapshot_.data(), stride, host, row);
       eg.release();
     }
-    const int holder = static_cast<int>(rowbuf[static_cast<std::size_t>(n)]) - 1;
+    const int holder =
+        static_cast<int>(snapshot_[static_cast<std::size_t>(n)]) - 1;
     if (holder == me) {
       // The releaser handed the lock to us and died before (or while) the
       // token was delivered: the published holder byte is authoritative.
@@ -154,7 +157,8 @@ void QueueingMutexSet::lock(int m, int host) {
       int successor = -1;
       for (int k = 1; k <= n; ++k) {
         const int i = (holder + k) % n;
-        if (rowbuf[static_cast<std::size_t>(i)] != 0 && !comm_.is_failed(i)) {
+        if (snapshot_[static_cast<std::size_t>(i)] != 0 &&
+            !comm_.is_failed(i)) {
           successor = i;
           break;
         }
@@ -179,21 +183,7 @@ void QueueingMutexSet::unlock(int m, int host) {
   const int n = comm_.size();
   const int me = comm_.rank();
   const bool surv = mpisim::ctx().core().survivable();
-  const std::size_t stride = static_cast<std::size_t>(n) + 1;
-  const std::size_t row = static_cast<std::size_t>(m) * stride;
-
-  std::vector<std::uint8_t> others(static_cast<std::size_t>(n), 0);
-  const std::uint8_t zero = 0;
-  {
-    EpochGuard eg(win_, LockType::exclusive, host);
-    win_.put(&zero, 1, host, row + static_cast<std::size_t>(me));
-    if (me > 0)
-      win_.get(others.data(), static_cast<std::size_t>(me), host, row);
-    if (me < n - 1)
-      win_.get(others.data() + me + 1, static_cast<std::size_t>(n - 1 - me),
-               host, row + static_cast<std::size_t>(me) + 1);
-    eg.release();
-  }
+  set_flag(m, host, 0);
 
   // Fair handoff: scan circularly starting at me+1 and forward the lock to
   // the first enqueued requester, if any. Survivable mode skips dead
@@ -202,7 +192,7 @@ void QueueingMutexSet::unlock(int m, int host) {
   std::uint8_t published = static_cast<std::uint8_t>(me + 1);
   for (int k = 1; k < n; ++k) {
     const int i = (me + k) % n;
-    if (others[static_cast<std::size_t>(i)] == 0) continue;
+    if (snapshot_[static_cast<std::size_t>(i)] == 0) continue;
     if (surv && comm_.is_failed(i)) continue;
     if (surv) {
       put_holder(m, host, static_cast<std::uint8_t>(i + 1));

@@ -72,6 +72,11 @@ class QueueingMutexSet {
   void unlock(int m, int host);
 
  private:
+  /// One exclusive epoch on \p host: set this member's request flag of
+  /// mutex \p m to \p flag and fetch every other flag into snapshot_ (own
+  /// entry 0). The put and the gets touch disjoint bytes: a legal epoch.
+  void set_flag(int m, int host, std::uint8_t flag);
+
   /// Publish the holder byte of mutex \p m on \p host (survivable mode).
   void put_holder(int m, int host, std::uint8_t value);
 
@@ -87,6 +92,9 @@ class QueueingMutexSet {
   /// (count * (nproc + 1) bytes: nproc request flags plus the holder byte),
   /// shared so copies of the handle stay valid.
   std::shared_ptr<std::vector<std::uint8_t>> bytes_;
+  /// This member's copy of a mutex row, reused so lock/unlock allocate
+  /// nothing.
+  std::vector<std::uint8_t> snapshot_;
 };
 
 }  // namespace armci

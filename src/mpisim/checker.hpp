@@ -66,6 +66,7 @@
 #include <vector>
 
 #include "src/mpisim/conflict_tree.hpp"
+#include "src/mpisim/counters.hpp"
 #include "src/mpisim/datatype.hpp"
 #include "src/mpisim/op.hpp"
 
@@ -87,29 +88,29 @@ const char* rma_check_name(RmaCheck m) noexcept;
 /// reject typos loudly instead of silently running unchecked.
 bool parse_rma_check(const char* text, RmaCheck* out) noexcept;
 
-/// Violation classes (counter buckets; also named in diagnostics).
-enum class RmaViolation {
-  same_origin,  ///< overlapping conflicting ops by one origin in one epoch
-  concurrent,   ///< put/put or put/get overlap across concurrent epochs
-  acc_mix,      ///< accumulate vs non-accumulate or different-op accumulate
-  local,        ///< direct local access conflicting with an RMA access
-  discipline,   ///< lock-state misuse (unlock mismatch, double lock, ...)
-};
+/// Violation classes (counter buckets; also named in diagnostics), in
+/// armci-metrics-v1 order. Each X(name) makes RmaViolation::name, its
+/// rma_violation_name() text and the RmaCheckCounts::name field.
+#define MPISIM_RMA_VIOLATIONS(X)                                              \
+  X(same_origin) /* overlapping conflicting ops by one origin in one epoch */ \
+  X(concurrent)  /* put/put or put/get overlap across concurrent epochs */    \
+  X(acc_mix)     /* accumulate vs non-accumulate or different-op accumulate */ \
+  X(local)       /* direct local access conflicting with an RMA access */     \
+  X(discipline)  /* lock-state misuse (unlock mismatch, double lock, ...) */
 
-inline constexpr int kRmaViolationCount = 5;
+enum class RmaViolation { MPISIM_RMA_VIOLATIONS(MPISIM_COUNTER_ENUM) };
+
+inline constexpr int kRmaViolationCount =
+    0 MPISIM_RMA_VIOLATIONS(MPISIM_COUNTER_ONE);
 
 const char* rma_violation_name(RmaViolation v) noexcept;
 
 /// Snapshot of violation counters (per rank or totalled).
 struct RmaCheckCounts {
-  std::uint64_t same_origin = 0;
-  std::uint64_t concurrent = 0;
-  std::uint64_t acc_mix = 0;
-  std::uint64_t local = 0;
-  std::uint64_t discipline = 0;
+  MPISIM_RMA_VIOLATIONS(MPISIM_COUNTER_FIELD)
 
   std::uint64_t total() const noexcept {
-    return same_origin + concurrent + acc_mix + local + discipline;
+    return 0 MPISIM_RMA_VIOLATIONS(MPISIM_COUNTER_SUM);
   }
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <climits>
+#include <iterator>
 
 #include "src/mpisim/error.hpp"
 #include "src/mpisim/runtime.hpp"
@@ -37,19 +38,23 @@ void absorb(ConflictTree& into, const ConflictTree& from) {
   });
 }
 
+/// The class of a conflicting pair, most specific cause first.
+HbRace race_class(bool prior_dead, bool direct, bool acc, bool both_put) {
+  if (prior_dead) return HbRace::dead_origin;
+  if (direct) return HbRace::shm;
+  if (acc) return HbRace::acc_mix;
+  return both_put ? HbRace::ww : HbRace::rw;
+}
+
 }  // namespace
 
 thread_local int HbChecker::muted_ = 0;
 
 const char* hb_race_name(HbRace c) noexcept {
-  switch (c) {
-    case HbRace::ww: return "ww";
-    case HbRace::rw: return "rw";
-    case HbRace::acc_mix: return "acc_mix";
-    case HbRace::shm: return "shm";
-    case HbRace::dead_origin: return "dead_origin";
-  }
-  return "?";
+  static constexpr const char* kNames[] = {
+      MPISIM_HB_RACES(MPISIM_COUNTER_NAME)};
+  const auto i = static_cast<std::size_t>(c);
+  return i < std::size(kNames) ? kNames[i] : "?";
 }
 
 HbChecker::HbChecker(bool enabled, int nranks, std::size_t max_intervals)
@@ -291,17 +296,10 @@ void HbChecker::check(const TargetRec& t, std::uint64_t space, int target,
     if (p.world_origin == a.world_origin) continue;
     if (p.hi < a.lo || a.hi < p.lo) continue;
     if (!accesses_conflict(a.kind, a.op, p.kind, p.op)) continue;
-    HbRace cls;
-    if (dead_[static_cast<std::size_t>(p.world_origin)] != 0)
-      cls = HbRace::dead_origin;
-    else if (a.direct || p.direct)
-      cls = HbRace::shm;
-    else if (acc_class(a.kind) || acc_class(p.kind))
-      cls = HbRace::acc_mix;
-    else if (a.kind == OpKind::put && p.kind == OpKind::put)
-      cls = HbRace::ww;
-    else
-      cls = HbRace::rw;
+    const HbRace cls =
+        race_class(dead_[static_cast<std::size_t>(p.world_origin)] != 0,
+                   a.direct || p.direct, acc_class(a.kind) || acc_class(p.kind),
+                   a.kind == OpKind::put && p.kind == OpKind::put);
     report(cls, a.world_origin,
            what() + " races with " + rank_desc(p.world_origin) +
                "'s in-flight " + kind_desc(p.kind, p.op, p.direct) + " " +
@@ -322,17 +320,9 @@ void HbChecker::check(const TargetRec& t, std::uint64_t space, int target,
                                                                   : "get of";
     const bool prior_dead =
         dead_[static_cast<std::size_t>(s.world_origin)] != 0;
-    HbRace cls;
-    if (prior_dead)
-      cls = HbRace::dead_origin;
-    else if (a.direct || s.any_direct)
-      cls = HbRace::shm;
-    else if (prior_acc || acc_class(a.kind))
-      cls = HbRace::acc_mix;
-    else if (a.kind == OpKind::put && hit.kind == AccessHit::Kind::write)
-      cls = HbRace::ww;
-    else
-      cls = HbRace::rw;
+    const HbRace cls = race_class(
+        prior_dead, a.direct || s.any_direct, prior_acc || acc_class(a.kind),
+        a.kind == OpKind::put && hit.kind == AccessHit::Kind::write);
     std::string msg =
         what() + " races with " + rank_desc(s.world_origin) +
         "'s " + prior_kind + " " + byte_range(hit.lo, hit.hi) + " (epoch #" +
@@ -591,11 +581,11 @@ HbRaceCounts HbChecker::counts(int world_rank) const noexcept {
   // persona acts on the rank's behalf, and callers index by world rank.
   for (const int row : {world_rank, nranks_ + world_rank}) {
     const PerRankCounts& c = per_rank_[static_cast<std::size_t>(row)];
-    out.ww += c.v[0].load(std::memory_order_relaxed);
-    out.rw += c.v[1].load(std::memory_order_relaxed);
-    out.acc_mix += c.v[2].load(std::memory_order_relaxed);
-    out.shm += c.v[3].load(std::memory_order_relaxed);
-    out.dead_origin += c.v[4].load(std::memory_order_relaxed);
+#define MPISIM_LOAD(name)                                 \
+  out.name += c.v[static_cast<int>(HbRace::name)].load( \
+      std::memory_order_relaxed);
+    MPISIM_HB_RACES(MPISIM_LOAD)
+#undef MPISIM_LOAD
     out.overflow += c.overflow.load(std::memory_order_relaxed);
   }
   return out;
@@ -605,11 +595,9 @@ HbRaceCounts HbChecker::total_counts() const noexcept {
   HbRaceCounts out;
   for (int r = 0; r < nranks_; ++r) {
     const HbRaceCounts c = counts(r);
-    out.ww += c.ww;
-    out.rw += c.rw;
-    out.acc_mix += c.acc_mix;
-    out.shm += c.shm;
-    out.dead_origin += c.dead_origin;
+#define MPISIM_ADD(name) out.name += c.name;
+    MPISIM_HB_RACES(MPISIM_ADD)
+#undef MPISIM_ADD
     out.overflow += c.overflow;
   }
   return out;

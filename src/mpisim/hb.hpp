@@ -73,31 +73,30 @@ namespace mpisim {
 /// Vector clock: one component per world rank.
 using HbClock = std::vector<std::uint64_t>;
 
-/// Race classes (counter buckets; also named in diagnostics).
-enum class HbRace {
-  ww,           ///< unordered write vs write (put/put)
-  rw,           ///< unordered read vs write (get vs put or accumulate)
-  acc_mix,      ///< accumulate vs non-accumulate or different-op accumulate
-  shm,          ///< a direct (shared-memory or local) access is involved
-  dead_origin,  ///< conflicts with a dead rank's data, no recovery edge
-};
+/// Race classes (counter buckets; also named in diagnostics), in
+/// armci-metrics-v1 order. Each X(name) makes HbRace::name, its
+/// hb_race_name() text and the HbRaceCounts::name field.
+#define MPISIM_HB_RACES(X)                                                    \
+  X(ww)          /* unordered write vs write (put/put) */                     \
+  X(rw)          /* unordered read vs write (get vs put or accumulate) */     \
+  X(acc_mix)     /* accumulate vs non-accumulate or different-op accumulate */ \
+  X(shm)         /* a direct (shared-memory or local) access is involved */   \
+  X(dead_origin) /* conflicts with a dead rank's data, no recovery edge */
 
-inline constexpr int kHbRaceCount = 5;
+enum class HbRace { MPISIM_HB_RACES(MPISIM_COUNTER_ENUM) };
+
+inline constexpr int kHbRaceCount = 0 MPISIM_HB_RACES(MPISIM_COUNTER_ONE);
 
 const char* hb_race_name(HbRace c) noexcept;
 
 /// Snapshot of race counters (per rank or totalled).
 struct HbRaceCounts {
-  std::uint64_t ww = 0;
-  std::uint64_t rw = 0;
-  std::uint64_t acc_mix = 0;
-  std::uint64_t shm = 0;
-  std::uint64_t dead_origin = 0;
+  MPISIM_HB_RACES(MPISIM_COUNTER_FIELD)
   /// Summaries dropped by the interval cap: coverage silently lost.
   std::uint64_t overflow = 0;
 
   std::uint64_t total() const noexcept {
-    return ww + rw + acc_mix + shm + dead_origin;
+    return 0 MPISIM_HB_RACES(MPISIM_COUNTER_SUM);
   }
 };
 

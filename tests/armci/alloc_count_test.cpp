@@ -1,10 +1,11 @@
-// Allocation-count regression test for the strided RMA data path.
+// Allocation-count regression test for the strided RMA data path and rmw.
 //
 // A warm steady-state loop of strided get/put/acc on Backend::mpi -- through
 // the ARMCI API, the nb aggregation engine, MpiBackend::strided and
 // mpisim::Win::rma_op, with the RMA checker in abort mode -- must make no
 // heap allocation per operation, and neither may a GA nb_get of a 2-D patch
-// spanning two owners. This binary replaces the global operator new with one
+// spanning two owners, nor an uncontended rmw (two queueing-mutex epochs
+// around its get and put epochs). This binary replaces the global operator new with one
 // that counts the calling thread's allocations, so a change that brings a
 // per-op allocation back fails here with the count.
 //
@@ -137,6 +138,28 @@ TEST(AllocCountTest, StridedOpsAllocateNothingPerOp) {
                 0u)
           << "nb acc";
       EXPECT_EQ(stats().rma_conflicts, 0u);
+    }
+    barrier();
+    free(bases[static_cast<std::size_t>(mpisim::rank())]);
+    finalize();
+  });
+}
+
+TEST(AllocCountTest, UncontendedRmwAllocatesNothingPerOp) {
+  mpisim::run(pinned_config(2), [] {
+    init(mpi_options());
+    std::vector<void*> bases = malloc_world(sizeof(std::int64_t));
+    barrier();
+    if (mpisim::rank() == 0) {
+      std::int64_t before = 0, old = 0, after = 0;
+      rmw(RmwOp::fetch_and_add_long, &before, bases[1], 0, 1);
+      EXPECT_EQ(allocs_per_steady_loop([&] {
+                  rmw(RmwOp::fetch_and_add_long, &old, bases[1], 1, 1);
+                }),
+                0u)
+          << "fetch_and_add_long";
+      rmw(RmwOp::fetch_and_add_long, &after, bases[1], 0, 1);
+      EXPECT_EQ(after - before, 2 * kOps);
     }
     barrier();
     free(bases[static_cast<std::size_t>(mpisim::rank())]);

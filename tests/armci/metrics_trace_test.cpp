@@ -1,16 +1,22 @@
 // Tests for the observability layer: log-bucketed latency histograms with
 // percentile queries, the per-rank virtual-time trace ring buffer (begin/end
 // events around every one-sided op), per-window lock/epoch counters, and the
-// JSON exporters (armci-metrics-v1 and Chrome trace_event).
+// JSON exporters (armci-metrics-v1 and Chrome trace_event), including a
+// round trip of every counter table through armci-metrics-v1.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <numeric>
 #include <string>
 #include <vector>
 
 #include "src/armci/armci.hpp"
+#include "src/armci/state.hpp"
+#include "src/mpisim/checker.hpp"
+#include "src/mpisim/hb.hpp"
 #include "src/mpisim/runtime.hpp"
 #include "src/mpisim/trace.hpp"
 
@@ -333,6 +339,163 @@ TEST(TraceJsonTest, MetricsDocumentIsWellFormed) {
     }
     barrier();
     free(bases[static_cast<std::size_t>(mpisim::rank())]);
+    finalize();
+  });
+}
+
+// ---------------------------------------------------------------------------
+// Counter tables through armci-metrics-v1
+// ---------------------------------------------------------------------------
+
+#define ARMCI_TEST_ONE(...) +1
+constexpr std::size_t kStatsCounters = 0 ARMCI_STATS_COUNTERS(ARMCI_TEST_ONE);
+
+// Every uint64 field of a counter struct is a table entry, so a counter
+// added beside the table rather than to it (and so never exported) fails
+// to compile here. Stats keeps four fields outside its table, exported by
+// the hand-written "progress" object: progress_ticks/progress_retires and
+// the two overlap gauges.
+static_assert(sizeof(Stats) == (kStatsCounters + 2) * sizeof(std::uint64_t) +
+                                   2 * sizeof(double));
+static_assert(sizeof(mpisim::WinStats) ==
+              (0 MPISIM_WIN_STATS(ARMCI_TEST_ONE)) * sizeof(std::uint64_t));
+static_assert(sizeof(mpisim::RmaCheckCounts) ==
+              mpisim::kRmaViolationCount * sizeof(std::uint64_t));
+static_assert(sizeof(mpisim::HbRaceCounts) ==
+              (mpisim::kHbRaceCount + 1) * sizeof(std::uint64_t));  // overflow
+
+/// The first JSON object in \p doc whose text follows \p prefix, from its
+/// '{' to its '}' (counter objects are flat, so that is the next '}').
+std::string object_after(const std::string& doc, const std::string& prefix) {
+  std::size_t at = doc.find(prefix);
+  if (at == std::string::npos) return {};
+  at = doc.rfind('{', at + prefix.size() - 1);
+  return doc.substr(at, doc.find('}', at) - at + 1);
+}
+
+std::string object_named(const std::string& doc, const char* name) {
+  return object_after(doc, std::string("\"") + name + "\":{");
+}
+
+/// Walks one exported object in table order: each key must appear exactly
+/// once, after the previous key, with the expected value.
+class KeyWalk {
+ public:
+  explicit KeyWalk(std::string object) : object_(std::move(object)) {}
+
+  void expect(const char* key, std::uint64_t value) {
+    const std::string pattern = std::string("\"") + key + "\":";
+    const std::size_t at = object_.find(pattern);
+    ++keys_;
+    if (at == std::string::npos) {
+      ADD_FAILURE() << key << " missing from " << object_;
+      return;
+    }
+    EXPECT_EQ(object_.find(pattern, at + 1), std::string::npos)
+        << key << " repeated in " << object_;
+    EXPECT_TRUE(at > last_) << key << " out of table order in " << object_;
+    last_ = at;
+    EXPECT_EQ(std::strtoull(object_.c_str() + at + pattern.size(), nullptr,
+                            10),
+              value)
+        << key;
+  }
+
+  /// The object holds the walked keys plus \p others, and nothing else.
+  void expect_no_other_keys(std::size_t others = 0) const {
+    std::size_t keys = 0;
+    for (std::size_t at = object_.find("\":"); at != std::string::npos;
+         at = object_.find("\":", at + 1))
+      ++keys;
+    EXPECT_EQ(keys, keys_ + others) << object_;
+  }
+
+ private:
+  std::string object_;
+  std::size_t last_ = 0;
+  std::size_t keys_ = 0;
+};
+
+// Every Stats counter at UINT64_MAX needs 20 digits: the export must stay
+// well-formed JSON and keep every key however wide its numbers get.
+TEST(MetricsJsonTest, MaxCountersStayWellFormed) {
+  mpisim::run(1, Platform::infiniband, [] {
+    init(Options{});
+    Stats& s = state().stats;
+#define ARMCI_TEST_SET_MAX(object, field) s.field = UINT64_MAX;
+    ARMCI_STATS_COUNTERS(ARMCI_TEST_SET_MAX)
+#undef ARMCI_TEST_SET_MAX
+    const std::string doc = metrics_json();  // re-syncs the two checker ones
+    EXPECT_TRUE(json_balanced(doc)) << doc;
+    EXPECT_NE(doc.find("\"trace\":{\"enabled\":false,"), std::string::npos)
+        << doc;
+#define ARMCI_TEST_FIND_KEY(object, field)                                  \
+  EXPECT_NE(object_named(doc, #object).find("\"" #field "\":"),            \
+            std::string::npos)                                             \
+      << #field;
+    ARMCI_STATS_COUNTERS(ARMCI_TEST_FIND_KEY)
+#undef ARMCI_TEST_FIND_KEY
+    EXPECT_NE(doc.find("\"puts\":18446744073709551615,"), std::string::npos);
+    EXPECT_NE(doc.find("\"am_terminations\":18446744073709551615}"),
+              std::string::npos);
+    finalize();
+  });
+}
+
+// Each table entry gets a distinct value; each key must come back exactly
+// once, in table order, with that value, in its object.
+TEST(MetricsJsonTest, EveryCounterRoundTripsOnceInItsObject) {
+  mpisim::run(1, Platform::infiniband, [] {
+    Options o;
+    o.trace = true;  // the windows array lists the tracer's WinStats
+    init(o);
+    ProcState& st = state();
+    std::uint64_t next = 1000;
+#define ARMCI_TEST_SET(object, field) st.stats.field = ++next;
+    ARMCI_STATS_COUNTERS(ARMCI_TEST_SET)
+#undef ARMCI_TEST_SET
+    // stats() reports these two as the checker's total (0 here) minus the
+    // baseline, so a baseline of -v reads back as v.
+    st.rma_conflicts_baseline = 0 - st.stats.rma_conflicts;
+    st.rma_races_baseline = 0 - st.stats.rma_races;
+    constexpr std::uint64_t kWinId = 1u << 30;  // no real window's id
+    mpisim::WinStats& counts = mpisim::tracer().win(kWinId);
+#define ARMCI_TEST_SET_WIN(name) counts.name = ++next;
+    MPISIM_WIN_STATS(ARMCI_TEST_SET_WIN)
+#undef ARMCI_TEST_SET_WIN
+
+    const std::string doc = metrics_json();
+    ASSERT_TRUE(json_balanced(doc)) << doc;
+    std::uint64_t want = 1000;
+    KeyWalk counters(object_named(doc, "counters"));
+    KeyWalk am(object_named(doc, "am"));
+#define ARMCI_TEST_WALK(object, field) object.expect(#field, ++want);
+    ARMCI_STATS_COUNTERS(ARMCI_TEST_WALK)
+#undef ARMCI_TEST_WALK
+    counters.expect_no_other_keys();
+    am.expect_no_other_keys();
+
+    KeyWalk win(object_after(doc, "{\"win_id\":" + std::to_string(kWinId)));
+    win.expect("win_id", kWinId);
+#define ARMCI_TEST_WALK_WIN(name) win.expect(#name, ++want);
+    MPISIM_WIN_STATS(ARMCI_TEST_WALK_WIN)
+#undef ARMCI_TEST_WALK_WIN
+    win.expect_no_other_keys(1);  // "gmr_id":null
+
+    // The checkers' counters only move on a violation: all read 0 here.
+#define ARMCI_TEST_WALK_ZERO(name) walk.expect(#name, 0);
+    {
+      KeyWalk walk(object_named(doc, "rma_check"));
+      MPISIM_RMA_VIOLATIONS(ARMCI_TEST_WALK_ZERO)
+      walk.expect_no_other_keys(1);  // "mode"
+    }
+    {
+      KeyWalk walk(object_named(doc, "rma_race"));
+      MPISIM_HB_RACES(ARMCI_TEST_WALK_ZERO)
+      walk.expect("overflow", 0);
+      walk.expect_no_other_keys();
+    }
+#undef ARMCI_TEST_WALK_ZERO
     finalize();
   });
 }
