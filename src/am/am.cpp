@@ -82,6 +82,14 @@ struct AmState {
   std::uint64_t barrier_gen = 0;
   std::unordered_map<std::uint64_t, int> barrier_tokens;  ///< root: per gen
   std::uint64_t barrier_releases = 0;  ///< non-root: releases received
+
+  /// Reused buffers: a request is staged in `request` (header + argument)
+  /// and a handler writes its reply into `reply` (serving never nests, see
+  /// `serving`), so neither is allocated or zero-filled per message;
+  /// quiesce() rounds reduce `counts_in` into `counts_out`.
+  std::vector<std::uint8_t> request;
+  std::vector<std::uint8_t> reply;
+  std::vector<std::uint64_t> counts_in, counts_out;
 };
 
 AmState& require_am() {
@@ -103,8 +111,9 @@ int require_gce(int gce) {
 
 /// Shared completion state of one rpc(), owned by its Handle copies.
 struct OpState {
-  mpisim::Comm::Request rreq;  ///< posted reply receive
-  std::vector<std::uint8_t> rbuf;
+  /// Posted reply receive; it keeps the reply message's own payload (a
+  /// WireReply and the reply bytes), so no buffer waits for it up front.
+  mpisim::Comm::Request rreq;
   int target = -1;  ///< world rank
   std::uint64_t seq = 0;
   bool completed = false;
@@ -145,7 +154,7 @@ void finish_reply(OpState& op) {
   if (st.bytes < sizeof(WireReply))
     mpisim::raise(Errc::internal, "am reply shorter than its header");
   WireReply rh;
-  std::memcpy(&rh, op.rbuf.data(), sizeof rh);
+  std::memcpy(&rh, op.rreq.payload().data(), sizeof rh);
   if (rh.seq != op.seq)
     mpisim::raise(Errc::internal, "am reply sequence mismatch");
   op.reply_bytes = st.bytes - sizeof(WireReply);
@@ -226,7 +235,8 @@ bool serve_one(AmState& am, armci::ProcState& st) {
   if (sizeof(WireHeader) + h.arg_bytes != m.payload.size())
     mpisim::raise(Errc::internal, "am request argument size mismatch");
 
-  std::vector<std::uint8_t> reply(sizeof(WireReply) + kMaxReplyBytes);
+  std::vector<std::uint8_t>& reply = am.reply;
+  reply.resize(kMaxReplyBytes);  // zero-fills once per AmState
   std::size_t reply_bytes = 0;
   {
     am.serving = true;
@@ -236,7 +246,7 @@ bool serve_one(AmState& am, armci::ProcState& st) {
     } unguard{&am.serving};
     reply_bytes = am.handlers[h.handler](
         m.src_comm_rank, m.payload.data() + sizeof(WireHeader), h.arg_bytes,
-        reply.data() + sizeof(WireReply), kMaxReplyBytes);
+        reply.data(), kMaxReplyBytes);
   }
   if (reply_bytes > kMaxReplyBytes)
     mpisim::raise(Errc::invalid_argument,
@@ -254,8 +264,7 @@ bool serve_one(AmState& am, armci::ProcState& st) {
     r.tag = reply_tag(h.seq);
     r.payload.resize(sizeof rh + reply_bytes);
     std::memcpy(r.payload.data(), &rh, sizeof rh);
-    std::memcpy(r.payload.data() + sizeof rh, reply.data() + sizeof rh,
-                reply_bytes);
+    std::memcpy(r.payload.data() + sizeof rh, reply.data(), reply_bytes);
     const double send_cost_ns = core.model().p2p_ns(0);
     if (st.opts.progress) {
       am.persona_now_ns += send_cost_ns;
@@ -390,7 +399,8 @@ void send_request(AmState& am, armci::ProcState& st, int target, int handler,
   h.flags = flags;
   h.gce = static_cast<std::uint32_t>(gce);
   h.arg_bytes = static_cast<std::uint32_t>(bytes);
-  std::vector<std::uint8_t> payload(sizeof h + bytes);
+  std::vector<std::uint8_t>& payload = am.request;
+  payload.resize(sizeof h + bytes);
   std::memcpy(payload.data(), &h, sizeof h);
   if (bytes > 0) std::memcpy(payload.data() + sizeof h, arg, bytes);
   ++st.stats.am_sent;
@@ -415,12 +425,10 @@ Handle rpc(int target, int handler, const void* arg, std::size_t bytes) {
   auto op = std::make_shared<OpState>();
   op->target = target;
   op->seq = am.next_seq++;
-  op->rbuf.resize(sizeof(WireReply) + kMaxReplyBytes);
   // Post the reply receive *before* the request leaves: the reply can
   // never pile up in the unexpected queue (or trip the mailbox cap), and
-  // the posted-receive fast path delivers it straight into the handle.
-  op->rreq = am.comm.irecv(op->rbuf.data(), op->rbuf.size(), target,
-                           reply_tag(op->seq));
+  // the posted-receive fast path hands its payload straight to the handle.
+  op->rreq = am.comm.irecv_owned(target, reply_tag(op->seq));
   send_request(am, st, target, handler, arg, bytes, kFlagWantsReply,
                /*gce=*/0, op->seq, op.get());
   Handle h;
@@ -512,7 +520,7 @@ std::span<const std::uint8_t> Handle::reply() const {
   if (op_ == nullptr || !op_->completed || op_->error != nullptr)
     mpisim::raise(Errc::invalid_argument,
                   "reply() before successful completion");
-  return {op_->rbuf.data() + sizeof(WireReply), op_->reply_bytes};
+  return op_->rreq.payload().subspan(sizeof(WireReply), op_->reply_bytes);
 }
 
 void Handle::decode_reply(void* out, std::size_t bytes) const {
@@ -539,7 +547,10 @@ void quiesce(int gce) {
   // round. Dead targets are skipped (their queued delegates are lost), and
   // dead *issuers* drop out of the sum -- served can then exceed issued,
   // hence >= rather than ==.
-  std::vector<std::uint64_t> in(2 * n), out(2 * n);
+  std::vector<std::uint64_t>& in = am.counts_in;
+  std::vector<std::uint64_t>& out = am.counts_out;
+  in.resize(2 * n);
+  out.resize(2 * n);
   for (;;) {
     poll();
     GceState& g = am.gce[gce];

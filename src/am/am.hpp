@@ -59,7 +59,8 @@ inline constexpr int kNumGces = 4;
 /// A request handler. Runs on the target's thread; \p src is the
 /// requester's world rank, [arg, arg+bytes) the argument bytes. Writes at
 /// most \p reply_capacity bytes into \p reply and returns the reply size
-/// (ignored for fire-and-forget delegates).
+/// (ignored for fire-and-forget delegates). \p reply is a reused buffer:
+/// only the returned prefix is sent, and the rest is not zeroed.
 using Handler = std::function<std::size_t(
     int src, const void* arg, std::size_t bytes, void* reply,
     std::size_t reply_capacity)>;

@@ -222,16 +222,12 @@ bool Comm::iprobe(int src, int tag, Status* st) const {
   SimCore& core = *c.core;
   RankContext& me = ctx();
   std::unique_lock lk(core.mu());
-  Mailbox& mb = core.mailbox(me.rank());
-  if (!mb.has_match(c.id, src, tag)) return false;
+  const Message* m = core.mailbox(me.rank()).find_match(c.id, src, tag);
+  if (m == nullptr) return false;
   if (st != nullptr) {
-    // Peek by popping and re-inserting would break FIFO; match manually.
-    Message m = mb.pop_match(c.id, src, tag);
-    st->source = m.src_comm_rank;
-    st->tag = m.tag;
-    st->bytes = m.payload.size();
-    mb.push(std::move(m));  // NOTE: reordered to the back; acceptable for
-                            // probe-then-recv-with-explicit-source patterns.
+    st->source = m->src_comm_rank;
+    st->tag = m->tag;
+    st->bytes = m->payload.size();
   }
   return true;
 }
@@ -249,6 +245,23 @@ Comm::Request Comm::isend(const void* buf, std::size_t bytes, int dest,
 
 Comm::Request Comm::irecv(void* buf, std::size_t capacity, int src,
                           int tag) const {
+  auto rec = std::make_shared<PostedRecv>();
+  rec->src = src;
+  rec->tag = tag;
+  rec->buf = buf;
+  rec->capacity = capacity;
+  return post_recv(std::move(rec));
+}
+
+Comm::Request Comm::irecv_owned(int src, int tag) const {
+  auto rec = std::make_shared<PostedRecv>();
+  rec->src = src;
+  rec->tag = tag;
+  rec->keep_payload = true;
+  return post_recv(std::move(rec));
+}
+
+Comm::Request Comm::post_recv(std::shared_ptr<PostedRecv> rec) const {
   CommImpl& c = *impl_;
   SimCore& core = *c.core;
   RankContext& me = ctx();
@@ -256,19 +269,14 @@ Comm::Request Comm::irecv(void* buf, std::size_t capacity, int src,
   Request r;
   r.impl_ = impl_;
   r.is_recv_ = true;
-  auto rec = std::make_shared<PostedRecv>();
   rec->comm_id = c.id;
-  rec->src = src;
-  rec->tag = tag;
-  rec->buf = buf;
-  rec->capacity = capacity;
   r.rec_ = rec;
 
   std::lock_guard lk(core.mu());
   if (c.revoked) throw_revoked("comm.irecv");
   Mailbox& mb = core.mailbox(me.rank());
-  if (mb.has_match(c.id, src, tag))
-    Mailbox::deliver(*rec, mb.pop_match(c.id, src, tag));
+  if (mb.has_match(c.id, rec->src, rec->tag))
+    Mailbox::deliver(*rec, mb.pop_match(c.id, rec->src, rec->tag));
   else
     mb.post(std::move(rec));
   return r;
@@ -297,7 +305,7 @@ int pending_death_locked(const SimCore& core, const CommImpl& c,
 /// Finish a matched receive on the poster's thread: happens-before join,
 /// truncation raise, clock advance to the node-aware delivery time, status
 /// publication. Expects the global lock held on entry; returns unlocked.
-void Comm::Request::complete_matched(std::unique_lock<std::mutex>& lk,
+void Comm::Request::complete_matched(std::unique_lock<SimMutex>& lk,
                                      Status* st) {
   CommImpl& c = *impl_;
   SimCore& core = *c.core;
@@ -393,6 +401,11 @@ bool Comm::Request::test(Status* st) {
 
 bool Comm::Request::ready_locked() const noexcept {
   return !is_recv_ || completed_ || (rec_ != nullptr && rec_->matched);
+}
+
+std::span<const std::uint8_t> Comm::Request::payload() const noexcept {
+  if (!completed_ || rec_ == nullptr) return {};
+  return rec_->payload;
 }
 
 Comm::Request::~Request() {

@@ -24,6 +24,7 @@
 namespace mpisim {
 
 class SimCore;
+class SimMutex;
 
 /// Rendezvous state for in-progress collectives on one communicator.
 /// All fields are guarded by the simulator's global lock.
@@ -115,7 +116,9 @@ class Comm {
   /// Blocking receive; \p src / \p tag may be kAnySource / kAnyTag.
   Status recv(void* buf, std::size_t capacity, int src, int tag) const;
 
-  /// Nonblocking probe: true if a matching message is queued.
+  /// Nonblocking probe: true if a matching message is queued; \p st then
+  /// describes the message the next matching recv() returns. Leaves the
+  /// queue as it is.
   bool iprobe(int src, int tag, Status* st = nullptr) const;
 
   // ---- Nonblocking point-to-point ----
@@ -160,9 +163,13 @@ class Comm {
     /// layer's serve-while-waiting loop).
     bool ready_locked() const noexcept;
 
+    /// The message payload a completed irecv_owned() kept (empty for any
+    /// other request). Valid while this request lives.
+    std::span<const std::uint8_t> payload() const noexcept;
+
    private:
     friend class Comm;
-    void complete_matched(std::unique_lock<std::mutex>& lk, Status* st);
+    void complete_matched(std::unique_lock<SimMutex>& lk, Status* st);
     std::shared_ptr<CommImpl> impl_;
     std::shared_ptr<PostedRecv> rec_;
     bool is_recv_ = false;
@@ -176,6 +183,12 @@ class Comm {
 
   /// Nonblocking receive: posts the match; wait()/test() complete it.
   Request irecv(void* buf, std::size_t capacity, int src, int tag) const;
+
+  /// Nonblocking receive that keeps the matched message's own payload
+  /// instead of copying it into a caller buffer: no size bound, no copy,
+  /// no buffer to provide up front. Request::payload() returns it once
+  /// complete.
+  Request irecv_owned(int src, int tag) const;
 
   /// Complete every request in \p reqs (MPI_Waitall).
   static void wait_all(std::span<Request> reqs);
@@ -265,6 +278,10 @@ class Comm {
   const std::shared_ptr<CommImpl>& impl() const noexcept { return impl_; }
 
  private:
+  /// Post \p rec (src, tag and its delivery mode set) on this
+  /// communicator, or deliver a queued match into it at once.
+  Request post_recv(std::shared_ptr<PostedRecv> rec) const;
+
   /// Run one rendezvous collective round: every member contributes
   /// (in, out, count); the last arriver executes \p leader_fn while holding
   /// the global lock, then everyone's clock advances to the common result

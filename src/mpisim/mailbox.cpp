@@ -18,16 +18,20 @@ void Mailbox::deliver(PostedRecv& rec, Message msg) {
                    "delivery into a completed posted receive");
   rec.matched = true;
   rec.msg_bytes = msg.payload.size();
-  rec.truncated = msg.payload.size() > rec.capacity;
-  // A truncating message still delivers the prefix (diagnosability); the
-  // poster raises Errc::truncation when it completes the request.
-  std::memcpy(rec.buf, msg.payload.data(),
-              std::min(msg.payload.size(), rec.capacity));
   rec.send_ts_ns = msg.send_ts_ns;
   rec.vc = std::move(msg.vc);
   rec.st.source = msg.src_comm_rank;
   rec.st.tag = msg.tag;
   rec.st.bytes = msg.payload.size();
+  if (rec.keep_payload) {
+    rec.payload = std::move(msg.payload);
+    return;
+  }
+  rec.truncated = msg.payload.size() > rec.capacity;
+  // A truncating message still delivers the prefix (diagnosability); the
+  // poster raises Errc::truncation when it completes the request.
+  std::memcpy(rec.buf, msg.payload.data(),
+              std::min(msg.payload.size(), rec.capacity));
 }
 
 bool Mailbox::push(Message msg) {
@@ -46,10 +50,11 @@ bool Mailbox::push(Message msg) {
   return false;
 }
 
-bool Mailbox::has_match(std::uint64_t comm_id, int src, int tag) const {
+const Message* Mailbox::find_match(std::uint64_t comm_id, int src,
+                                   int tag) const {
   for (const Message& m : queue_)
-    if (matches(m, comm_id, src, tag)) return true;
-  return false;
+    if (matches(m, comm_id, src, tag)) return &m;
+  return nullptr;
 }
 
 Message Mailbox::pop_match(std::uint64_t comm_id, int src, int tag) {

@@ -71,6 +71,10 @@ struct PostedRecv {
   double send_ts_ns = 0.0;
   std::vector<std::uint64_t> vc;  ///< sender's clock (joined at completion)
   Status st;
+  /// Keep the message's payload here instead of copying it into buf
+  /// (Comm::irecv_owned; buf and capacity are unused).
+  bool keep_payload = false;
+  std::vector<std::uint8_t> payload;
 };
 
 /// Unexpected-message queue plus posted-receive registry for one
@@ -83,10 +87,16 @@ class Mailbox {
   /// posted receive consumed it.
   bool push(Message msg);
 
-  /// True if a queued message matches (comm, src, tag). \p src and \p tag
-  /// may be wildcards. Posted receives do not participate: a message they
+  /// The first queued message matching (comm, src, tag) -- the one
+  /// pop_match() would return -- or null. \p src and \p tag may be
+  /// wildcards. Posted receives do not participate: a message they
   /// consumed was never queued.
-  bool has_match(std::uint64_t comm_id, int src, int tag) const;
+  const Message* find_match(std::uint64_t comm_id, int src, int tag) const;
+
+  /// True if a queued message matches (comm, src, tag); see find_match().
+  bool has_match(std::uint64_t comm_id, int src, int tag) const {
+    return find_match(comm_id, src, tag) != nullptr;
+  }
 
   /// Remove and return the first matching queued message. Requires
   /// has_match().

@@ -58,6 +58,7 @@ std::shared_ptr<CommImpl> make_world_impl(SimCore& core, int nranks,
 
 RankContext::RankContext(SimCore& core, int rank) : core_(&core), rank_(rank) {
   fault_.configure(core.config().fault, rank, &core, &tracer_);
+  wake_buf.reserve(static_cast<std::size_t>(core.nranks()));
 }
 
 RankContext::~RankContext() = default;
@@ -72,6 +73,7 @@ SimCore::SimCore(const Config& cfg)
       slots_(static_cast<std::size_t>(cfg.nranks)),
       mailboxes_(static_cast<std::size_t>(cfg.nranks)) {
   if (cfg.nranks < 1) raise(Errc::invalid_argument, "nranks < 1");
+  mu_.queued_.reserve(slots_.size());
   running_ = cfg.nranks;
   dead_.assign(static_cast<std::size_t>(cfg.nranks), 0);
   death_ns_.assign(static_cast<std::size_t>(cfg.nranks), 0.0);
@@ -93,9 +95,30 @@ void SimCore::abort(std::exception_ptr err) noexcept {
   notify_all_locked();
 }
 
+void SimMutex::queue_wake(WakeSlot& s) noexcept {
+  if (s.queued) return;
+  s.queued = true;
+  queued_.push_back(&s);  // capacity nranks, reserved by SimCore
+}
+
+void SimMutex::unlock_and_wake() noexcept {
+  // Only run()'s own thread unlocks outside a rank, on its abort path.
+  std::vector<std::condition_variable*> other;
+  std::vector<std::condition_variable*>& wake =
+      t_ctx != nullptr ? t_ctx->wake_buf : other;
+  wake.clear();
+  for (WakeSlot* s : queued_) {
+    s->queued = false;
+    wake.push_back(&s->cv);
+  }
+  queued_.clear();
+  m_.unlock();
+  for (std::condition_variable* cv : wake) cv->notify_one();
+}
+
 void SimCore::poke_slot(WakeSlot& s) noexcept {
   s.poked = true;
-  if (s.waiting) s.cv.notify_one();
+  if (s.waiting) mu_.queue_wake(s);
 }
 
 void SimCore::poke() noexcept {
@@ -110,7 +133,7 @@ void SimCore::poke(int world_rank) noexcept {
 
 void SimCore::notify_all_locked() noexcept {
   for (WakeSlot& s : slots_)
-    if (s.waiting) s.cv.notify_one();
+    if (s.waiting) mu_.queue_wake(s);
 }
 
 double SimCore::wait_enter_locked(WakeOn wake_on) {
@@ -142,12 +165,19 @@ bool SimCore::quiescent_locked() const noexcept {
   return true;
 }
 
-bool SimCore::sleep_locked(std::unique_lock<std::mutex>& lk) {
+bool SimCore::sleep_locked(std::unique_lock<SimMutex>& lk) {
   WakeSlot& s = slots_[static_cast<std::size_t>(t_ctx->rank())];
   // The timeout is only a safety net: every relevant transition (poke,
-  // abort, rank exit, deadlock verdict) notifies the slot.
-  const std::cv_status st = s.cv.wait_for(lk, std::chrono::seconds(1));
-  return st == std::cv_status::timeout && !s.poked;
+  // abort, rank exit, deadlock verdict) notifies the slot. The condition
+  // variable waits on the raw mutex that \p lk holds.
+  std::unique_lock<std::mutex> raw(lk.mutex()->m_, std::adopt_lock);
+  const std::cv_status st = s.cv.wait_for(raw, std::chrono::seconds(1));
+  raw.release();
+  if (st != std::cv_status::timeout) return false;
+  // Every poke during the sleep queued a notify; expiring poked means one
+  // was dropped.
+  if (s.poked) ++lost_wakeups_;
+  return !s.poked;
 }
 
 void SimCore::throw_aborted() {

@@ -28,6 +28,10 @@
 /// (collective completion, publication, revocation, death). A rank parked in
 /// a lock queue or a Pacer region therefore sleeps through other ranks'
 /// epochs and messages instead of waking for each one.
+///
+/// A poke marks the slot under mu() and only queues its wake-up; the
+/// notify goes out after mu() is released (SimMutex::unlock), so the woken
+/// rank finds the lock free instead of going back to sleep on it.
 
 #include <atomic>
 #include <condition_variable>
@@ -152,6 +156,11 @@ class RankContext {
   std::vector<Segment> rma_osegs;
   std::vector<Segment> rma_tsegs;
 
+  /// The wake-ups this rank's SimMutex::unlock sends once the lock is
+  /// released, copied out under it; room for every rank, so no unlock
+  /// allocates.
+  std::vector<std::condition_variable*> wake_buf;
+
  private:
   SimCore* core_;
   int rank_;
@@ -160,6 +169,39 @@ class RankContext {
   RegistrationCache mpi_reg_;
   RegistrationCache native_reg_;
   FaultInjector fault_;
+};
+
+/// One rank's blocking state (under SimCore::mu()).
+struct WakeSlot {
+  std::condition_variable cv;
+  bool waiting = false;  ///< inside wait()
+  bool poked = false;    ///< poked since its last false predicate
+  bool any = false;      ///< the current wait takes every poke
+  bool queued = false;   ///< its wake-up waits for the next unlock
+};
+
+/// SimCore's global lock. Wake-ups are queued while it is held and sent
+/// after it is released: unlock() first releases the mutex, then notifies
+/// every slot queued since the lock was taken. A BasicLockable, so
+/// std::lock_guard and std::unique_lock take it as they take std::mutex.
+class SimMutex {
+ public:
+  void lock() { m_.lock(); }
+  void unlock() noexcept {
+    if (queued_.empty())
+      m_.unlock();
+    else
+      unlock_and_wake();
+  }
+
+ private:
+  friend class SimCore;
+  /// Queue \p s's wake-up for the next unlock. Caller holds the lock.
+  void queue_wake(WakeSlot& s) noexcept;
+  void unlock_and_wake() noexcept;
+
+  std::mutex m_;
+  std::vector<WakeSlot*> queued_;  ///< at most one entry per slot
 };
 
 /// Shared simulation state for one run().
@@ -185,7 +227,7 @@ class SimCore {
   HbChecker& hb() noexcept { return hb_; }
 
   /// The global lock guarding all shared simulator state.
-  std::mutex& mu() noexcept { return mu_; }
+  SimMutex& mu() noexcept { return mu_; }
 
   /// Announce a state change that can satisfy some blocked rank's wait
   /// predicate, when the caller cannot tell whose: pokes every rank's wake
@@ -193,13 +235,15 @@ class SimCore {
   /// must poke the ranks it can satisfy -- this, or poke(int) when exactly
   /// one rank can observe it -- or that rank sleeps until the 1 s safety
   /// net (counted by lost_wakeups()) and quiescence detection would
-  /// miscount it as deadlock.
+  /// miscount it as deadlock. A poke marks the slot now; the sleeping
+  /// rank is notified when the caller releases mu().
   void poke() noexcept;
 
   /// Announce a state change only world rank \p world_rank can observe (a
   /// message pushed into its mailbox, a window lock granted to it): pokes
   /// that rank's slot, plus every waiter that takes all pokes
-  /// (WakeOn::any). Caller must hold mu().
+  /// (WakeOn::any). Caller must hold mu(); the notify goes out when the
+  /// caller releases it.
   void poke(int world_rank) noexcept;
 
   /// Which pokes wake a wait(): the ones addressed to the waiter (poke(r)
@@ -217,7 +261,7 @@ class SimCore {
   /// \p lk must hold mu(); \p site names the wait in diagnostics. Only
   /// rank threads may wait.
   template <typename Pred>
-  void wait(std::unique_lock<std::mutex>& lk, Pred pred,
+  void wait(std::unique_lock<SimMutex>& lk, Pred pred,
             const char* site = "blocking wait",
             WakeOn wake_on = WakeOn::addressed) {
     if (aborted_) throw_aborted();
@@ -259,13 +303,23 @@ class SimCore {
         wait_exit_locked();
         throw_wait_timeout(site, /*deadlock=*/true, t0);
       }
+      if (!mu_.queued_.empty()) {
+        // Wake-ups this rank queued go out before it sleeps, and only
+        // after mu() is released; then re-check, as after any wake-up.
+        lk.unlock();
+        lk.lock();
+        unpoked_timeout = false;
+        continue;
+      }
       unpoked_timeout = sleep_locked(lk);
     }
   }
 
-  /// Waits whose predicate first held after a 1 s safety-net timeout that
-  /// no poke preceded: a mutation site that forgot to poke. 0 in a correct
-  /// run. Lock-free.
+  /// Safety-net expiries (1 s) that a missing wake-up caused: a wait whose
+  /// predicate first held after an expiry that no poke preceded (a
+  /// mutation site that forgot to poke), and an expiry on a slot that was
+  /// poked but never notified (a queued wake-up that was dropped). 0 in a
+  /// correct run. Lock-free.
   std::uint64_t lost_wakeups() const noexcept { return lost_wakeups_; }
 
   /// Record the first failure and wake all blocked ranks.
@@ -411,10 +465,13 @@ class SimCore {
   /// poke: a certain deadlock. Caller must hold mu().
   bool quiescent_locked() const noexcept;
   /// Sleep on the calling rank's slot until notified or the 1 s safety net
-  /// expires; true when it expired with no poke. Caller holds mu() via \p lk.
-  bool sleep_locked(std::unique_lock<std::mutex>& lk);
+  /// expires; true when it expired with no poke. An expiry on a poked slot
+  /// (its notify was lost) counts in lost_wakeups() here. Caller holds
+  /// mu() via \p lk.
+  bool sleep_locked(std::unique_lock<SimMutex>& lk);
   /// Wake every waiting rank without poking it (abort, rank exit, deadlock
-  /// verdict): they re-check the abort/deadlock flags and quiescence.
+  /// verdict): they re-check the abort/deadlock flags and quiescence. Like
+  /// a poke's, the wake-ups go out when mu() is released.
   void notify_all_locked() noexcept;
   [[noreturn]] static void throw_aborted();
   [[noreturn]] void throw_wait_timeout(const char* site, bool deadlock,
@@ -426,17 +483,9 @@ class SimCore {
   RmaChecker checker_;
   HbChecker hb_;
 
-  std::mutex mu_;
+  SimMutex mu_;
   std::atomic<bool> aborted_{false};
   std::exception_ptr first_error_;
-
-  /// One rank's blocking state (under mu_).
-  struct WakeSlot {
-    std::condition_variable cv;
-    bool waiting = false;  ///< inside wait()
-    bool poked = false;    ///< poked since its last false predicate
-    bool any = false;      ///< the current wait takes every poke
-  };
 
   // Liveness accounting (all under mu_ except the atomics).
   int running_ = 0;            ///< rank threads not yet exited
@@ -450,7 +499,7 @@ class SimCore {
   int latest_dead_ = -1;            ///< most recently declared dead rank
   std::vector<WakeSlot> slots_;     ///< per rank: wake slot
 
-  static void poke_slot(WakeSlot& s) noexcept;
+  void poke_slot(WakeSlot& s) noexcept;
 
   std::vector<std::unique_ptr<RankContext>> ranks_;
   std::vector<Mailbox> mailboxes_;

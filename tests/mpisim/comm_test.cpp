@@ -7,6 +7,7 @@
 
 #include <array>
 #include <atomic>
+#include <cstdint>
 #include <numeric>
 #include <vector>
 
@@ -154,6 +155,48 @@ TEST(CommP2pTest, IprobeSeesPendingMessage) {
       EXPECT_FALSE(w.iprobe(0, 99));
       int v = 0;
       w.recv(&v, sizeof v, 0, 3);
+    }
+  });
+}
+
+TEST(CommP2pTest, IprobeLeavesFifoOrderIntact) {
+  run(2, Platform::ideal, [] {
+    Comm w = world();
+    if (rank() == 0) {
+      const std::array<char, 8> first{}, second{};
+      w.send(first.data(), 4, 1, 3);
+      w.send(second.data(), 8, 1, 3);
+      w.barrier();
+    } else {
+      w.barrier();  // both messages are queued
+      Status st;
+      ASSERT_TRUE(w.iprobe(0, 3, &st));
+      EXPECT_EQ(st.bytes, 4u);
+      std::array<char, 8> buf{};
+      EXPECT_EQ(w.recv(buf.data(), buf.size(), 0, 3).bytes, 4u);
+      ASSERT_TRUE(w.iprobe(0, 3, &st));
+      EXPECT_EQ(st.bytes, 8u);
+      EXPECT_EQ(w.recv(buf.data(), buf.size(), 0, 3).bytes, 8u);
+    }
+  });
+}
+
+TEST(CommP2pTest, IrecvOwnedKeepsTheMessagePayload) {
+  run(2, Platform::ideal, [] {
+    Comm w = world();
+    if (rank() == 0) {
+      std::vector<std::uint8_t> v(100);
+      std::iota(v.begin(), v.end(), std::uint8_t{1});
+      w.send(v.data(), v.size(), 1, 6);
+    } else {
+      Comm::Request r = w.irecv_owned(0, 6);
+      EXPECT_TRUE(r.payload().empty());  // not complete yet
+      Status st;
+      r.wait(&st);
+      EXPECT_EQ(st.bytes, 100u);
+      ASSERT_EQ(r.payload().size(), 100u);
+      EXPECT_EQ(r.payload()[0], 1);
+      EXPECT_EQ(r.payload()[99], 100);
     }
   });
 }

@@ -2,15 +2,22 @@
 // and is woken only by state changes addressed to it (a message for it, a
 // lock granted to it) or by broadcast pokes -- not by every other rank's
 // traffic. Voluntary context switches of the blocked rank's thread
-// (RUSAGE_THREAD) measure how often it was woken.
+// (RUSAGE_THREAD) measure how often it was woken. A poke's notify goes out
+// after the poker releases the global lock; the stress test checks that
+// none of those deferred wake-ups is lost.
 
 #include <sys/resource.h>
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
+#include <exception>
 #include <vector>
 
+#include "src/am/am.hpp"
+#include "src/armci/armci.hpp"
 #include "src/mpisim/comm.hpp"
 #include "src/mpisim/runtime.hpp"
 #include "src/mpisim/win.hpp"
@@ -147,6 +154,112 @@ TEST(WakeTest, LockAllQueuesBehindExclusiveEpochs) {
     EXPECT_EQ(ctx().core().lost_wakeups(), 0u);
     win.free();
   });
+}
+
+TEST(WakeTest, WakeQueuedByARankThatThenSleepsGoesOut) {
+  // Each rank pokes its peer and then waits within one hold of the global
+  // lock, so every hand-off after the first leaves a queued wake-up behind
+  // a rank that goes to sleep: wait() must send it before sleeping, or
+  // both ranks sleep until the safety net.
+  constexpr int kHandoffs = 200;
+  int turn = 0;  // hand-offs so far; rank (turn % 2) moves next
+  bool stop = false;
+  std::uint64_t lost = 0;
+  run(2, Platform::ideal, [&] {
+    SimCore& core = ctx().core();
+    const int me = rank();
+    std::unique_lock lk(core.mu());
+    for (;;) {
+      core.wait(lk, [&] { return stop || turn % 2 == me; });
+      if (stop) break;
+      if (++turn >= kHandoffs || core.lost_wakeups() > 0) stop = true;
+      core.poke(1 - me);
+    }
+    lost = std::max(lost, core.lost_wakeups());
+  });
+  EXPECT_EQ(lost, 0u);
+  EXPECT_EQ(turn, kHandoffs);
+}
+
+TEST(WakeTest, MixedRpcLockAndBarrierTrafficLosesNoWakeup) {
+  // Each round, every rank makes rpc round trips to the three others
+  // (request and reply pokes), then one exclusive epoch on rank 0's window
+  // (contended grant pokes); every 8 rounds a serving barrier, a barrier,
+  // an intercommunicator round trip and an allreduce (broadcast pokes and
+  // system-channel sends). A dropped wake-up leaves its rank asleep until
+  // the 1 s safety net, which lost_wakeups() counts. Once a rank sees one
+  // it stops issuing, and the allreduce stops every rank, so a broken
+  // build fails in seconds instead of sleeping through every round.
+  constexpr int kRounds = 200;
+  constexpr int kRpcsPerRound = 12;
+  constexpr int kCheckEvery = 8;
+  std::uint64_t lost = 0;
+  std::int64_t total = -1;
+  std::exception_ptr failure;
+  try {
+    run(4, Platform::ideal, [&] {
+      armci::init();
+      am::init();
+      const int h = am::register_handler(
+          [](int, const void* arg, std::size_t, void* reply,
+             std::size_t) -> std::size_t {
+            std::uint64_t v = 0;
+            std::memcpy(&v, arg, sizeof v);
+            ++v;
+            std::memcpy(reply, &v, sizeof v);
+            return sizeof v;
+          });
+      std::vector<std::int64_t> mem(1, 0);
+      Win win = Win::create(mem.data(), sizeof(std::int64_t), world());
+      Comm w = world();
+      std::uint64_t seen_lost = 0;
+      auto healthy = [] { return ctx().core().lost_wakeups() == 0; };
+      for (int round = 0; round < kRounds && seen_lost == 0; ++round) {
+        for (int i = 0; i < kRpcsPerRound && healthy(); ++i) {
+          const int target = (rank() + 1 + i % 3) % 4;
+          const std::uint64_t v = static_cast<std::uint64_t>(round * 100 + i);
+          am::Handle r = am::rpc(target, h, &v, sizeof v);
+          r.wait();
+          EXPECT_EQ(r.reply_as<std::uint64_t>(), v + 1);
+        }
+        if (healthy()) {
+          std::int64_t x = 0;
+          win.lock(LockType::exclusive, 0);
+          win.get(&x, sizeof x, 0, 0);
+          win.flush(0);
+          ++x;
+          win.put(&x, sizeof x, 0, 0);
+          win.unlock(0);
+        }
+        if (round % kCheckEvery == kCheckEvery - 1) {
+          am::barrier();  // no rpc is in flight past this point
+          w.barrier();
+          // The leaders' handshakes of intercomm_create and merge travel
+          // over the runtime's system channel (its own addressed pokes).
+          Comm half = w.split(rank() < 2 ? 0 : 1, rank());
+          Comm inter = half.intercomm_create(0, rank() < 2 ? 2 : 0, round);
+          Comm merged = inter.merge(/*high=*/rank() >= 2);
+          const std::uint64_t mine = ctx().core().lost_wakeups();
+          merged.allreduce(&mine, &seen_lost, 1, BasicType::uint64, Op::max);
+        }
+      }
+      am::barrier();
+      w.barrier();
+      if (rank() == 0) {
+        total = mem[0];
+        lost = ctx().core().lost_wakeups();
+      }
+      w.barrier();
+      win.free();
+      am::finalize();
+      armci::finalize();
+    });
+  } catch (...) {
+    failure = std::current_exception();  // e.g. a deadlock verdict
+  }
+  EXPECT_EQ(failure, nullptr);
+  EXPECT_EQ(lost, 0u);
+  if (lost == 0) EXPECT_EQ(total, 4 * kRounds);
 }
 
 }  // namespace
